@@ -34,6 +34,7 @@ use crate::reference::FdArrays;
 use crate::sim::{field_energy, SimSetup};
 use crate::vgpu_sim::{BoundaryKernel, Precision};
 use lift::prelude::Value;
+use rayon::prelude::*;
 use vgpu::{Arg, BufData, BufId, Device, ExecMode, LaunchStats, Prepared, SlabPartition};
 
 /// The warp width the transaction model groups work-items by (see
@@ -417,83 +418,97 @@ impl ShardedSim {
     }
 
     /// Advances one step: halo-exchange the `curr` seams, launch the slab
-    /// volume kernel on every device, launch the boundary kernel on every
-    /// device owning boundary points, then rotate.
+    /// volume kernel and then, where the slab owns boundary points, the
+    /// boundary kernel on every device, then rotate. Stats come back in
+    /// device order.
+    ///
+    /// Between the exchange and the rotation each device touches only its
+    /// own buffers, so the devices step concurrently on the worker pool;
+    /// the launches inside then run inline under the pool's occupancy rule
+    /// instead of splitting again.
     pub fn step(&mut self, mode: ExecMode) -> ShardStepStats {
         let dims = *self.setup.dims();
         let l = self.precision.val(self.setup.l);
         let l2 = self.precision.val(self.setup.l2);
         let currs: Vec<BufId> = self.slabs.iter().map(|s| s.curr).collect();
         vgpu::halo_exchange(&mut self.devices, &currs, &self.part, self.plane);
-        let mut stats = Vec::with_capacity(self.slabs.len());
-        for (d, slab) in self.slabs.iter().enumerate() {
-            let owned = self.part.owned(d);
-            let vstats = self.devices[d]
-                .launch(
-                    &self.volume,
-                    &[
-                        Arg::Buf(slab.next),
-                        Arg::Buf(slab.curr),
-                        Arg::Buf(slab.prev),
-                        Arg::Buf(slab.nbrs),
-                        Arg::Val(l2),
-                        Arg::Val(Value::I32(dims.nx as i32)),
-                        Arg::Val(Value::I32(dims.ny as i32)),
-                        Arg::Val(Value::I32(self.part.local_planes(d) as i32)),
-                    ],
-                    &[dims.nx, dims.ny, owned],
-                    mode,
-                )
-                .expect("slab volume launch");
-            let bstats = slab.bnd.as_ref().map(|b| match self.boundary_kind {
-                BoundaryKernel::FiMm { .. } => self.devices[d]
-                    .launch(
-                        &self.boundary,
-                        &[
-                            Arg::Buf(b.bidx),
-                            Arg::Buf(slab.nbrs),
-                            Arg::Buf(b.material),
-                            Arg::Buf(slab.beta),
-                            Arg::Buf(slab.next),
-                            Arg::Buf(slab.prev),
-                            Arg::Val(l),
-                            Arg::Val(Value::I32(b.num_b as i32)),
-                        ],
-                        &[b.num_b],
-                        mode,
-                    )
-                    .expect("sharded FI-MM launch"),
-                BoundaryKernel::FdMm => {
-                    let fd = b.fd.as_ref().expect("FD buffers");
-                    self.devices[d]
+        // Fallback records of launches on pool threads still dedupe per job.
+        let scope = vgpu::exec::fallback_scope();
+        let stats: ShardStepStats = self
+            .devices
+            .par_chunks_mut(1)
+            .enumerate()
+            .map(|(d, dev)| {
+                let dev = &mut dev[0];
+                let slab = &self.slabs[d];
+                scope.enter(|| {
+                    let vstats = dev
                         .launch(
-                            &self.boundary,
+                            &self.volume,
                             &[
-                                Arg::Buf(b.bidx),
-                                Arg::Buf(slab.nbrs),
-                                Arg::Buf(b.material),
-                                Arg::Buf(slab.beta),
-                                Arg::Buf(fd.bi),
-                                Arg::Buf(fd.d),
-                                Arg::Buf(fd.di),
-                                Arg::Buf(fd.f),
                                 Arg::Buf(slab.next),
+                                Arg::Buf(slab.curr),
                                 Arg::Buf(slab.prev),
-                                Arg::Buf(fd.g1),
-                                Arg::Buf(fd.v1),
-                                Arg::Buf(fd.v2),
-                                Arg::Val(l),
-                                Arg::Val(Value::I32(fd.stride as i32)),
-                                Arg::Val(Value::I32(self.setup.mb as i32)),
+                                Arg::Buf(slab.nbrs),
+                                Arg::Val(l2),
+                                Arg::Val(Value::I32(dims.nx as i32)),
+                                Arg::Val(Value::I32(dims.ny as i32)),
+                                Arg::Val(Value::I32(self.part.local_planes(d) as i32)),
                             ],
-                            &[b.num_b],
+                            &[dims.nx, dims.ny, self.part.owned(d)],
                             mode,
                         )
-                        .expect("sharded FD-MM launch")
-                }
-            });
-            stats.push((vstats, bstats));
-        }
+                        .expect("slab volume launch");
+                    let bstats = slab.bnd.as_ref().map(|b| match self.boundary_kind {
+                        BoundaryKernel::FiMm { .. } => dev
+                            .launch(
+                                &self.boundary,
+                                &[
+                                    Arg::Buf(b.bidx),
+                                    Arg::Buf(slab.nbrs),
+                                    Arg::Buf(b.material),
+                                    Arg::Buf(slab.beta),
+                                    Arg::Buf(slab.next),
+                                    Arg::Buf(slab.prev),
+                                    Arg::Val(l),
+                                    Arg::Val(Value::I32(b.num_b as i32)),
+                                ],
+                                &[b.num_b],
+                                mode,
+                            )
+                            .expect("sharded FI-MM launch"),
+                        BoundaryKernel::FdMm => {
+                            let fd = b.fd.as_ref().expect("FD buffers");
+                            dev.launch(
+                                &self.boundary,
+                                &[
+                                    Arg::Buf(b.bidx),
+                                    Arg::Buf(slab.nbrs),
+                                    Arg::Buf(b.material),
+                                    Arg::Buf(slab.beta),
+                                    Arg::Buf(fd.bi),
+                                    Arg::Buf(fd.d),
+                                    Arg::Buf(fd.di),
+                                    Arg::Buf(fd.f),
+                                    Arg::Buf(slab.next),
+                                    Arg::Buf(slab.prev),
+                                    Arg::Buf(fd.g1),
+                                    Arg::Buf(fd.v1),
+                                    Arg::Buf(fd.v2),
+                                    Arg::Val(l),
+                                    Arg::Val(Value::I32(fd.stride as i32)),
+                                    Arg::Val(Value::I32(self.setup.mb as i32)),
+                                ],
+                                &[b.num_b],
+                                mode,
+                            )
+                            .expect("sharded FD-MM launch")
+                        }
+                    });
+                    (vstats, bstats)
+                })
+            })
+            .collect();
         for slab in &mut self.slabs {
             if let Some(SlabBoundary { fd: Some(fd), .. }) = &mut slab.bnd {
                 std::mem::swap(&mut fd.v1, &mut fd.v2);
@@ -544,9 +559,11 @@ impl ShardedSim {
         self.assemble(|s| s.prev)
     }
 
-    /// Pressure at a point.
+    /// Pressure at a point: one element read from the owning device.
     pub fn sample(&self, x: usize, y: usize, z: usize) -> f64 {
-        self.read_curr()[self.setup.dims().idx(x, y, z)]
+        let d = self.owner_of_plane(z);
+        let local = self.part.to_local(d, self.plane, self.setup.dims().idx(x, y, z));
+        self.devices[d].read_region(self.slabs[d].curr, local, 1).get(0).as_f64()
     }
 
     /// Field energy proxy (see [`field_energy`]).

@@ -12,7 +12,7 @@
 //! a local mutex and nothing else in this binary moves bytes).
 
 use room_acoustics::{
-    BoundaryKernel, GridDims, Precision, RoomShape, ShardedSim, SimConfig, SimSetup,
+    BoundaryKernel, GridDims, HandwrittenSim, Precision, RoomShape, ShardedSim, SimConfig, SimSetup,
 };
 use std::sync::Mutex;
 use vgpu::telemetry;
@@ -106,4 +106,37 @@ fn fdmm_replication_and_steps_keep_xfer_totals_clean() {
     assert_eq!(halo.bytes, 4 * two.halo_bytes_per_step());
     assert_eq!(halo.copies, 4 * 2, "two plane copies per seam per step");
     assert_eq!(halo.replicate_bytes, 0);
+}
+
+/// `sample` reads back one element, not the whole field: each call adds
+/// exactly one element's bytes to `vgpu.xfer.to_host.bytes`, on one device
+/// and sharded (points owned by the first, a middle and the last slab),
+/// and returns the same value as a full readback.
+#[test]
+fn sample_reads_back_exactly_one_element() {
+    let _g = COUNTERS.lock().unwrap();
+    let s = SimSetup::new(&SimConfig::fimm(GridDims::cube(12), RoomShape::Box));
+    let kind = BoundaryKernel::FiMm { beta_constant: false };
+    let to_host = || telemetry::registry().counter("vgpu.xfer.to_host.bytes").get();
+    for (precision, elem_bytes) in [(Precision::Single, 4), (Precision::Double, 8)] {
+        let mut one = HandwrittenSim::new(s.clone(), precision, kind, Device::gtx780());
+        let mut three = ShardedSim::new(s.clone(), precision, kind, devices(3));
+        one.impulse(6, 6, 6, 1.0);
+        three.impulse(6, 6, 6, 1.0);
+        one.run(3);
+        three.run(3);
+        let field = one.read_curr();
+        for (x, y, z) in [(5, 6, 1), (6, 6, 6), (6, 5, 10)] {
+            let b0 = to_host();
+            let a = one.sample(x, y, z);
+            let b1 = to_host();
+            let b = three.sample(x, y, z);
+            let b2 = to_host();
+            assert_eq!(b1 - b0, elem_bytes, "HandwrittenSim::sample({x},{y},{z})");
+            assert_eq!(b2 - b1, elem_bytes, "ShardedSim::sample({x},{y},{z})");
+            let want = field[s.dims().idx(x, y, z)];
+            assert_eq!(a.to_bits(), want.to_bits(), "single-device sample value");
+            assert_eq!(b.to_bits(), want.to_bits(), "sharded sample value");
+        }
+    }
 }

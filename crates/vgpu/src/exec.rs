@@ -587,10 +587,11 @@ pub enum ExecMode {
 /// Which interpreter backend executes a launch.
 ///
 /// The default is chosen by the `VGPU_ENGINE` environment variable:
-/// `tree` selects the tree-walker, `tape` the scalar bytecode tape, `diff`
-/// (or `differential`) runs the oracle plus the fast engines and asserts
-/// bit-identical buffers and identical stats, anything else selects the
-/// warp-vectorized tape.
+/// `tree` selects the tree-walker, `tape` the scalar bytecode tape,
+/// `vector` the warp-vectorized tape, `diff` (or `differential`) runs the
+/// oracle plus the fast engines and asserts bit-identical buffers and
+/// identical stats, anything else (unset included) selects the compiled
+/// engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Warp-vectorized bytecode tape: each op is decoded once per warp and
@@ -600,7 +601,6 @@ pub enum Engine {
     /// (counted by `vgpu.warp.divergent`); grouped (barrier) launches run
     /// the scalar tape, and kernels the tape compiler rejects fall back to
     /// the tree-walker — both transparently.
-    #[default]
     Vector,
     /// Superinstruction engine: the validated tape is re-lowered into basic
     /// blocks of fused ops (`compile::lower`) executed through dense
@@ -611,6 +611,8 @@ pub enum Engine {
     /// (`vgpu.compiled.fallbacks`); grouped launches and traced/race-checked
     /// modes run the vector path as on [`Engine::Vector`]. Divergent warps
     /// are delegated wholesale to the vector interpreter at the branch pc.
+    /// The default.
+    #[default]
     Compiled,
     /// Flat bytecode tape, one lane at a time (kernels the compiler rejects
     /// fall back to the tree-walker transparently).
@@ -630,9 +632,9 @@ impl Engine {
         match std::env::var("VGPU_ENGINE").as_deref() {
             Ok("tree") => Engine::Tree,
             Ok("tape") => Engine::Tape,
-            Ok("compiled") => Engine::Compiled,
+            Ok("vector") => Engine::Vector,
             Ok("diff") | Ok("differential") => Engine::Differential,
-            _ => Engine::Vector,
+            _ => Engine::Compiled,
         }
     }
 }
@@ -1037,7 +1039,9 @@ fn warp_transaction_bytes_flat(trace: &mut [(u32, u32, u64)], ends: &[usize], tx
 
 /// Work-ids per rayon task for the chunked dispatchers: coarse enough to
 /// amortise per-task setup (register files, scratch vectors), fine enough
-/// to keep every worker busy (~4 chunks per thread).
+/// to keep every worker busy (~4 chunks per thread). This is the one place
+/// launch granularity is set: the rayon shim runs each of these ≤ 4 ×
+/// threads chunks as its own block and groups only longer inputs.
 fn dispatch_chunk(nids: usize) -> usize {
     nids.div_ceil(rayon::current_num_threads().max(1) * 4).max(1)
 }
@@ -1118,24 +1122,56 @@ fn tape_usable(prep: &Prepared, bufs: &[Option<&SharedBuf>]) -> bool {
 /// One reported fallback/divergence cause: (event, kernel, reason).
 type FallbackKey = (&'static str, String, String);
 
+/// One job's set of already-reported [`FallbackKey`]s, so a long-running
+/// simulation that launches the same non-compilable (or divergent) kernel
+/// thousands of times emits exactly one stderr record and one trace event
+/// per distinct cause.
+///
+/// Each thread has a current scope. [`reset_fallback_dedupe`] gives the
+/// calling thread a fresh one at each job start, so one job's records can
+/// never swallow a later (or concurrent) job's. A job that launches on
+/// other threads, such as the concurrent device launches of a sharded step,
+/// carries its scope there with [`fallback_scope`] and
+/// [`FallbackScope::enter`], so dedupe stays per job wherever its launches
+/// run.
+#[derive(Clone, Default)]
+pub struct FallbackScope(std::sync::Arc<std::sync::Mutex<std::collections::HashSet<FallbackKey>>>);
+
 thread_local! {
-    /// [`FallbackKey`]s already reported by [`note_fallback_record`] on this
-    /// thread, so a long-running simulation that launches the same
-    /// non-compilable (or divergent) kernel thousands of times emits exactly
-    /// one stderr record and one trace event per distinct cause.
-    ///
-    /// The set is thread-local, not process-global: every `note_*` audit runs
-    /// on the launching thread (never inside rayon workers), so a batch
-    /// executor whose worker threads each run one job at a time gets
-    /// per-worker dedupe for free, and one job's records can never swallow a
-    /// concurrent job's. [`reset_fallback_dedupe`] rescopes it per job.
-    static FALLBACKS_SEEN: std::cell::RefCell<std::collections::HashSet<FallbackKey>> =
-        std::cell::RefCell::new(std::collections::HashSet::new());
+    static FALLBACK_SCOPE: std::cell::RefCell<FallbackScope> =
+        std::cell::RefCell::new(FallbackScope::default());
 }
 
-/// Clears the calling thread's fallback/divergence dedupe set, so the next
-/// launch that falls back (or diverges) emits a fresh audit record even for
-/// a (kernel, reason) pair already reported earlier on this thread.
+impl FallbackScope {
+    /// Runs `f` with this scope as the calling thread's current one, then
+    /// restores the previous scope (also when `f` unwinds).
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        struct Restore(FallbackScope);
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                FALLBACK_SCOPE.with(|s| std::mem::swap(&mut *s.borrow_mut(), &mut self.0));
+            }
+        }
+        let mut restore = Restore(self.clone());
+        FALLBACK_SCOPE.with(|s| std::mem::swap(&mut *s.borrow_mut(), &mut restore.0));
+        f()
+    }
+
+    /// Records `key`; true when this scope had not seen it yet.
+    fn first(&self, key: FallbackKey) -> bool {
+        self.0.lock().expect("dedupe set is never held across a panic").insert(key)
+    }
+}
+
+/// The calling thread's current dedupe scope (see [`FallbackScope`]).
+pub fn fallback_scope() -> FallbackScope {
+    FALLBACK_SCOPE.with(|s| s.borrow().clone())
+}
+
+/// Gives the calling thread a fresh fallback/divergence dedupe scope, so
+/// the next launch that falls back (or diverges) emits a fresh audit record
+/// even for a (kernel, reason) pair already reported earlier on this
+/// thread.
 ///
 /// Call this at the start of each logical simulation/job: dedupe is meant to
 /// collapse the thousands of identical records *within* one run, not to
@@ -1143,22 +1179,20 @@ thread_local! {
 /// records. Audit counters are unaffected — they count every launch/warp
 /// regardless of dedupe state.
 pub fn reset_fallback_dedupe() {
-    FALLBACKS_SEEN.with(|seen| seen.borrow_mut().clear());
+    FALLBACK_SCOPE.with(|s| *s.borrow_mut() = FallbackScope::default());
 }
 
 /// The shared dedupe half of every engine-fallback audit: when tracing is
 /// on, records a [`telemetry::Event::TapeFallback`] and prints a one-line
 /// structured record to stderr — but only the *first* time each
-/// (event, kernel, reason) triple is seen since this thread's last
-/// [`reset_fallback_dedupe`]. Counters are the caller's job and stay
-/// truthful per launch/warp.
+/// (event, kernel, reason) triple is seen in the current job's
+/// [`FallbackScope`]. Counters are the caller's job and stay truthful per
+/// launch/warp.
 fn note_fallback_record(ev: &'static str, kernel: &str, reason: &str) {
     if !telemetry::enabled() {
         return;
     }
-    let first = FALLBACKS_SEEN
-        .with(|seen| seen.borrow_mut().insert((ev, kernel.to_string(), reason.to_string())));
-    if first {
+    if fallback_scope().first((ev, kernel.to_string(), reason.to_string())) {
         let ts_us = telemetry::now_us();
         eprintln!("{{\"ev\":{ev:?},\"kernel\":{kernel:?},\"reason\":{reason:?}}}");
         let (kernel, reason) = (kernel.to_string(), reason.to_string());

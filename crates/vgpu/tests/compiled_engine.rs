@@ -12,6 +12,9 @@ use lift::prelude::{BinOp, Lit, ScalarKind, Value};
 use std::sync::Mutex;
 use vgpu::{Arg, Backend, BufData, Device, Engine, ExecMode};
 
+/// Serialises every test that moves or reads the process-global counters:
+/// the divergent launches below bump `vgpu.warp.divergent`, which the
+/// counter-delta tests read.
 static TELEMETRY: Mutex<()> = Mutex::new(());
 
 fn gid() -> KExpr {
@@ -83,6 +86,7 @@ fn run_guard_diamond(
 /// buffers and counters.
 #[test]
 fn partial_final_warp_and_divergence_bit_identical() {
+    let _guard = TELEMETRY.lock().unwrap();
     let (tree, tstats) = run_guard_diamond(Engine::Tree, 45, 64, ExecMode::Fast);
     let (vect, vstats) = run_guard_diamond(Engine::Vector, 45, 64, ExecMode::Fast);
     let (comp, cstats) = run_guard_diamond(Engine::Compiled, 45, 64, ExecMode::Fast);
@@ -103,6 +107,7 @@ fn partial_final_warp_and_divergence_bit_identical() {
 /// partial-warp divergent launch.
 #[test]
 fn differential_model_mode_covers_compiled_leg() {
+    let _guard = TELEMETRY.lock().unwrap();
     let (_, stats) =
         run_guard_diamond(Engine::Differential, 45, 64, ExecMode::Model { sample_stride: 1 });
     assert!(stats.transaction_bytes.is_some());

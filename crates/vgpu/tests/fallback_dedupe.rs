@@ -1,10 +1,11 @@
 //! Fallback and divergence audit records are deduplicated per
 //! (kernel, reason) while the matching counters stay truthful per launch.
 //!
-//! Runs in its own test binary (hence its own process) because the dedupe
-//! set is process-global: in-crate unit tests that also trigger fallbacks
-//! would race with this one. The tests here serialise on [`TELEMETRY`]
-//! because the event stream (`take_events`) is process-global too.
+//! Runs in its own test binary (hence its own process) because the
+//! fallback counters are process-global: in-crate unit tests that also
+//! trigger fallbacks would race with this one. The tests here serialise
+//! on [`TELEMETRY`] because the event stream (`take_events`) is
+//! process-global too.
 
 use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use lift::prelude::{BinOp, Lit, ScalarKind, Value};
@@ -75,40 +76,67 @@ fn repeated_fallback_launches_emit_one_record_but_count_every_launch() {
 /// back-to-back simulations that hit the same fallback cause *both* emit a
 /// record — the first job cannot swallow the second's — while the counter
 /// still counts every launch of both jobs.
+///
+/// With two devices the second device launches from another thread, as a
+/// sharded step's devices do on pool workers, inside the job's
+/// [`vgpu::exec::fallback_scope`]: the job still emits exactly one record,
+/// whichever threads its launches ran on.
 #[test]
 fn back_to_back_jobs_each_emit_their_own_record() {
     let _guard = TELEMETRY.lock().unwrap();
     telemetry::set_mode(TraceMode::Chrome);
-    let fallbacks0 = telemetry::registry().counter("vgpu.tape.fallbacks").get();
-    let _ = telemetry::take_events();
+    for devices in [1usize, 2] {
+        let fallbacks0 = telemetry::registry().counter("vgpu.tape.fallbacks").get();
+        let _ = telemetry::take_events();
 
-    for _job in 0..2 {
-        vgpu::exec::reset_fallback_dedupe();
-        let mut dev = Device::gtx780();
-        dev.set_engine(Engine::Tape);
-        let prep = dev.compile(&saxpy_ish()).unwrap();
-        let x = dev.upload(BufData::from(vec![1.0f64, 2.0, 3.0, 4.0]));
-        let out = dev.upload(BufData::from(vec![0.0f64; 4]));
-        // Two fallback launches per job: deduped to one record within the
-        // job, but never across jobs.
-        for _ in 0..2 {
-            dev.launch(
-                &prep,
-                &[Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::F32(2.0))],
-                &[4],
-                ExecMode::Fast,
-            )
-            .unwrap();
+        for _job in 0..2 {
+            vgpu::exec::reset_fallback_dedupe();
+            let scope = vgpu::exec::fallback_scope();
+            // Two fallback launches per device per job: deduped to one
+            // record within the job, but never across jobs.
+            let run_device = || {
+                scope.enter(|| {
+                    let mut dev = Device::gtx780();
+                    dev.set_engine(Engine::Tape);
+                    let prep = dev.compile(&saxpy_ish()).unwrap();
+                    let x = dev.upload(BufData::from(vec![1.0f64, 2.0, 3.0, 4.0]));
+                    let out = dev.upload(BufData::from(vec![0.0f64; 4]));
+                    for _ in 0..2 {
+                        dev.launch(
+                            &prep,
+                            &[Arg::Buf(x), Arg::Buf(out), Arg::Val(Value::F32(2.0))],
+                            &[4],
+                            ExecMode::Fast,
+                        )
+                        .unwrap();
+                    }
+                })
+            };
+            std::thread::scope(|s| {
+                let others: Vec<_> = (1..devices).map(|_| s.spawn(run_device)).collect();
+                run_device();
+                for h in others {
+                    h.join().expect("device thread panicked");
+                }
+            });
         }
-    }
 
-    let fallbacks = telemetry::registry().counter("vgpu.tape.fallbacks").get() - fallbacks0;
-    assert_eq!(fallbacks, 4, "counter records every launch of both jobs");
-    let events: Vec<_> = telemetry::take_events()
-        .into_iter()
-        .filter(|e| matches!(e, Event::TapeFallback { kernel, .. } if kernel == "dedupe_fb"))
-        .collect();
-    assert_eq!(events.len(), 2, "one record per job, not one per process: {events:?}");
+        let fallbacks = telemetry::registry().counter("vgpu.tape.fallbacks").get() - fallbacks0;
+        assert_eq!(
+            fallbacks,
+            4 * devices as u64,
+            "{devices} device(s): counter records every launch of both jobs"
+        );
+        let events: Vec<_> = telemetry::take_events()
+            .into_iter()
+            .filter(|e| matches!(e, Event::TapeFallback { kernel, .. } if kernel == "dedupe_fb"))
+            .collect();
+        assert_eq!(
+            events.len(),
+            2,
+            "{devices} device(s): one record per job, not one per process or thread: {events:?}"
+        );
+    }
     telemetry::set_mode(TraceMode::Off);
 }
 
