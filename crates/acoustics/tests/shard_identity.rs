@@ -13,7 +13,7 @@
 //! * the non-convex L-shape room, whose boundary points have outside
 //!   neighbours inside the bounding box;
 //! * everything under `Engine::Differential`, so each launch additionally
-//!   cross-checks tree vs tape vs vector engines bit-for-bit.
+//!   cross-checks tree vs tape (and, in Fast mode, compiled) bit-for-bit.
 
 use room_acoustics::shard_sim::{boundary_cut_planes, sum_step_stats};
 use room_acoustics::{

@@ -19,7 +19,7 @@
 //! room fails its job, not the batch.
 
 use crate::scenario::Scenario;
-use room_acoustics::{handwritten, HandwrittenSim, SimSetup};
+use room_acoustics::{handwritten, HandwrittenSim, ShardedSim, SimSetup};
 use serde_json::json;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -210,26 +210,79 @@ fn run_job(cfg: &BatchConfig, scenario: Scenario) -> JobResult {
     JobResult { scenario, outcome }
 }
 
+/// A job's simulation: the single-device driver, or — when `VGPU_DEVICES`
+/// asks for more than one device — the Z-slab sharded driver, which is
+/// bit-identical to it (DESIGN.md §12).
+enum JobSim {
+    One(Box<HandwrittenSim>),
+    Sharded(Box<ShardedSim>),
+}
+
+impl JobSim {
+    fn impulse(&mut self, (x, y, z): (usize, usize, usize), amp: f64) {
+        match self {
+            JobSim::One(s) => s.impulse(x, y, z, amp),
+            JobSim::Sharded(s) => s.impulse(x, y, z, amp),
+        }
+    }
+
+    fn step(&mut self, mode: ExecMode) {
+        match self {
+            JobSim::One(s) => {
+                s.step(mode);
+            }
+            JobSim::Sharded(s) => {
+                s.step(mode);
+            }
+        }
+    }
+
+    fn sample(&self, (x, y, z): (usize, usize, usize)) -> f64 {
+        match self {
+            JobSim::One(s) => s.sample(x, y, z),
+            JobSim::Sharded(s) => s.sample(x, y, z),
+        }
+    }
+
+    fn energy(&self) -> f64 {
+        match self {
+            JobSim::One(s) => s.energy(),
+            JobSim::Sharded(s) => s.energy(),
+        }
+    }
+
+    fn devices(&self) -> &[Device] {
+        match self {
+            JobSim::One(s) => std::slice::from_ref(&s.device),
+            JobSim::Sharded(s) => s.devices(),
+        }
+    }
+}
+
 fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
-    // `VGPU_DEVICES > 1` routes the job through the Z-slab sharded backend
-    // (bit-identical to this single-device path; see DESIGN.md §12).
     let shards = vgpu::device_count_from_env();
-    if shards > 1 {
-        return run_sim_sharded(cfg, sc, shards);
-    }
     let setup = SimSetup::new(&sc.config());
-    let mut device = Device::gtx780();
-    if let Some(engine) = cfg.engine {
-        device.set_engine(engine);
-    }
-    device.set_race_check(cfg.race_check);
+    let mut devices: Vec<Device> = (0..shards)
+        .map(|_| {
+            let mut d = Device::gtx780();
+            if let Some(engine) = cfg.engine {
+                d.set_engine(engine);
+            }
+            d.set_race_check(cfg.race_check);
+            d
+        })
+        .collect();
 
     // Static-verification gate through the memoized verdict cache: the
-    // lookups below hit the same artifacts `HandwrittenSim::new` compiles,
-    // so a whole batch pays the verifier once per distinct kernel.
+    // lookups below hit the same artifacts the simulation compiles, so a
+    // whole batch pays the verifier once per distinct kernel. Sharded jobs
+    // launch the gid-shifted slab volume kernel instead of the whole-grid
+    // one.
     let real = sc.precision.kind();
     let mut verifier_clean = true;
-    let volume = vgpu::compile_cached(&handwritten::volume_kernel().resolve_real(real))
+    let volume_kernel =
+        if shards > 1 { handwritten::volume_slab_kernel() } else { handwritten::volume_kernel() };
+    let volume = vgpu::compile_cached(&volume_kernel.resolve_real(real))
         .map_err(|e| format!("volume kernel: {e:?}"))?;
     let boundary_kernel = match sc.boundary_kernel() {
         room_acoustics::BoundaryKernel::FiMm { beta_constant } => {
@@ -245,22 +298,35 @@ fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
         }
     }
 
-    let mut sim = HandwrittenSim::new(setup, sc.precision, sc.boundary_kernel(), device);
-    let (sx, sy, sz) = sc.source;
-    sim.impulse(sx, sy, sz, sc.amp);
+    let mut sim = if shards > 1 {
+        JobSim::Sharded(Box::new(ShardedSim::new(
+            setup,
+            sc.precision,
+            sc.boundary_kernel(),
+            devices,
+        )))
+    } else {
+        let device = devices.pop().expect("at least one device");
+        JobSim::One(Box::new(HandwrittenSim::new(
+            setup,
+            sc.precision,
+            sc.boundary_kernel(),
+            device,
+        )))
+    };
+    sim.impulse(sc.source, sc.amp);
 
-    let (mx, my, mz) = sc.mic;
     let t0 = Instant::now();
     let mut impulse_response = Vec::with_capacity(sc.steps);
     for _ in 0..sc.steps {
         sim.step(cfg.mode);
-        impulse_response.push(sim.sample(mx, my, mz));
+        impulse_response.push(sim.sample(sc.mic));
     }
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     let energy = sim.energy();
-    let launches = sim.device.events().len();
+    let launches = sim.devices().iter().map(|d| d.events().len()).sum();
     let sidecar = cfg.sidecar_dir.as_ref().and_then(|dir| {
-        write_sidecar(dir, sc, &sim, energy, wall_ms, verifier_clean)
+        write_sidecar(dir, sc, sim.devices(), energy, wall_ms, verifier_clean)
             .map_err(|e| eprintln!("sidecar for {}: {e}", sc.label()))
             .ok()
     });
@@ -268,67 +334,13 @@ fn run_sim(cfg: &BatchConfig, sc: &Scenario) -> Result<JobOutput, String> {
     Ok(JobOutput { impulse_response, energy, wall_ms, launches, verifier_clean, sidecar })
 }
 
-/// The sharded leg of [`run_sim`]: the same scenario over `shards` Z-slab
-/// devices ([`room_acoustics::ShardedSim`]). The verifier gate covers the
-/// gid-shifted slab volume kernel instead of the whole-grid one; sidecars
-/// are skipped (per-kernel attribution spans several devices — the
-/// process-wide profiler still sees every launch).
-fn run_sim_sharded(cfg: &BatchConfig, sc: &Scenario, shards: usize) -> Result<JobOutput, String> {
-    let setup = SimSetup::new(&sc.config());
-    let devices: Vec<Device> = (0..shards)
-        .map(|_| {
-            let mut d = Device::gtx780();
-            if let Some(engine) = cfg.engine {
-                d.set_engine(engine);
-            }
-            d.set_race_check(cfg.race_check);
-            d
-        })
-        .collect();
-
-    let real = sc.precision.kind();
-    let mut verifier_clean = true;
-    let volume = vgpu::compile_cached(&handwritten::volume_slab_kernel().resolve_real(real))
-        .map_err(|e| format!("slab volume kernel: {e:?}"))?;
-    let boundary_kernel = match sc.boundary_kernel() {
-        room_acoustics::BoundaryKernel::FiMm { beta_constant } => {
-            handwritten::fimm_kernel(beta_constant).resolve_real(real)
-        }
-        room_acoustics::BoundaryKernel::FdMm => handwritten::fdmm_kernel().resolve_real(real),
-    };
-    let boundary =
-        vgpu::compile_cached(&boundary_kernel).map_err(|e| format!("boundary kernel: {e:?}"))?;
-    for prep in [&volume, &boundary] {
-        if let Some(report) = vgpu::verify_cached(prep) {
-            verifier_clean &= report.is_clean();
-        }
-    }
-
-    let mut sim =
-        room_acoustics::ShardedSim::new(setup, sc.precision, sc.boundary_kernel(), devices);
-    let (sx, sy, sz) = sc.source;
-    sim.impulse(sx, sy, sz, sc.amp);
-
-    let (mx, my, mz) = sc.mic;
-    let t0 = Instant::now();
-    let mut impulse_response = Vec::with_capacity(sc.steps);
-    for _ in 0..sc.steps {
-        sim.step(cfg.mode);
-        impulse_response.push(sim.sample(mx, my, mz));
-    }
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let energy = sim.energy();
-    let launches = sim.devices().iter().map(|d| d.events().len()).sum();
-    Ok(JobOutput { impulse_response, energy, wall_ms, launches, verifier_clean, sidecar: None })
-}
-
 /// Writes the per-job telemetry sidecar: scenario parameters, per-kernel
-/// launch totals from this job's device event log, and the process-wide
-/// artifact-cache occupancy at completion time.
+/// launch totals summed over the event logs of every device the job ran
+/// on, and the process-wide artifact-cache occupancy at completion time.
 fn write_sidecar(
     dir: &std::path::Path,
     sc: &Scenario,
-    sim: &HandwrittenSim,
+    devices: &[Device],
     energy: f64,
     wall_ms: f64,
     verifier_clean: bool,
@@ -343,7 +355,7 @@ fn write_sidecar(
         modeled_us: f64,
     }
     let mut kernels: BTreeMap<String, KernelAgg> = BTreeMap::new();
-    for ev in sim.device.events() {
+    for ev in devices.iter().flat_map(|d| d.events()) {
         let agg = kernels.entry(ev.name.clone()).or_default();
         agg.launches += 1;
         agg.wall_us += ev.stats.wall.as_secs_f64() * 1e6;
@@ -356,15 +368,17 @@ fn write_sidecar(
     // Job-scoped trace attribution: the process-wide telemetry buffer mixes
     // events from every concurrently-running job, but each job's device
     // records on its own tracks — filter to them so a sidecar never carries
-    // another job's kernel events. Empty when tracing is off (the device
+    // another job's kernel events. Empty when tracing is off (the devices
     // then allocated no tracks).
-    let tracks = sim.device.telemetry_tracks();
-    let trace_events: Vec<vgpu::telemetry::Event> = match tracks {
-        Some(tracks) => vgpu::telemetry::events_snapshot()
+    let tracks: Vec<vgpu::telemetry::TrackId> =
+        devices.iter().filter_map(|d| d.telemetry_tracks()).flatten().collect();
+    let trace_events: Vec<vgpu::telemetry::Event> = if tracks.is_empty() {
+        Vec::new()
+    } else {
+        vgpu::telemetry::events_snapshot()
             .into_iter()
             .filter(|ev| ev.track().is_some_and(|t| tracks.contains(&t)))
-            .collect(),
-        None => Vec::new(),
+            .collect()
     };
     let doc = json!({
         "job": sc.id,
@@ -401,8 +415,7 @@ fn write_sidecar(
         // Only this job's tracks: events from concurrently-running jobs are
         // filtered out (they live on their own devices' tracks).
         "trace": {
-            "tracks": tracks.map(|ts| ts.iter().map(|t| t.0).collect::<Vec<u32>>())
-                .unwrap_or_default(),
+            "tracks": tracks.iter().map(|t| t.0).collect::<Vec<u32>>(),
             "kernel_events": trace_events
                 .iter()
                 .filter(|e| matches!(e, vgpu::telemetry::Event::Kernel { .. }))

@@ -63,7 +63,7 @@ fn bench_fi(c: &mut Criterion) {
     group.finish();
 }
 
-/// Warp-vectorized tape vs scalar tape vs reference tree-walker on the same
+/// Compiled engine vs scalar tape vs reference tree-walker on the same
 /// hand-written FI kernel — the speedup each compile/execute stage buys on
 /// the interpreter substrate.
 fn bench_engines(c: &mut Criterion) {
@@ -72,7 +72,7 @@ fn bench_engines(c: &mut Criterion) {
     let dims = GridDims::cube(40);
     let setup = fi_setup(dims);
     for (label, engine) in [
-        ("vector", vgpu::Engine::Vector),
+        ("compiled", vgpu::Engine::Compiled),
         ("tape", vgpu::Engine::Tape),
         ("tree", vgpu::Engine::Tree),
     ] {

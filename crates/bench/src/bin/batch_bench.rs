@@ -9,8 +9,8 @@
 //!
 //! * a failed job (includes differential-engine mismatches and write races);
 //! * a static-verifier finding on a shipped kernel;
-//! * any tape/vector fallback — the handwritten kernels must stay on the
-//!   vectorized engine;
+//! * any tape/compiled fallback — the handwritten kernels must stay on
+//!   their engine rung (with the race detector on, the scalar tape);
 //! * a cross-room artifact hit rate below 90% (batches of ≥ 32 rooms).
 //!
 //! With `VGPU_TRACE` set, per-job telemetry sidecars land in
@@ -46,9 +46,7 @@ fn main() {
     let art_misses0 = counter("vgpu.artifact.misses");
     let plan_misses0 = counter("vgpu.plan.misses");
     let shared0 = counter("vgpu.plan.shared_hits");
-    let fallbacks0 = counter("vgpu.tape.fallbacks")
-        + counter("vgpu.vector.fallbacks")
-        + counter("vgpu.compiled.fallbacks");
+    let fallbacks0 = counter("vgpu.tape.fallbacks") + counter("vgpu.compiled.fallbacks");
 
     let scenarios = ScenarioGen::new(seed).take(rooms);
     let exec = BatchExecutor::new(BatchConfig {
@@ -72,10 +70,8 @@ fn main() {
     let art_hits = counter("vgpu.artifact.hits") - art_hits0;
     let art_misses = counter("vgpu.artifact.misses") - art_misses0;
     let hit_rate = art_hits as f64 / (art_hits + art_misses).max(1) as f64;
-    let fallbacks = counter("vgpu.tape.fallbacks")
-        + counter("vgpu.vector.fallbacks")
-        + counter("vgpu.compiled.fallbacks")
-        - fallbacks0;
+    let fallbacks =
+        counter("vgpu.tape.fallbacks") + counter("vgpu.compiled.fallbacks") - fallbacks0;
 
     let record = format!(
         "{{\"bench\":\"batch\",\"rooms\":{rooms},\"threads\":{threads},\"seed\":{seed},\

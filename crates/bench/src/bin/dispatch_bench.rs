@@ -3,9 +3,9 @@
 //! Criterion benches don't time under the offline stub harness, so this bin
 //! is the measurement behind the dispatch-overhead numbers in
 //! EXPERIMENTS.md: it runs the same leap-frog launch loop the sims run and
-//! prints ms/step for fast and modeled execution on the scalar tape, the
-//! warp-vectorized engine, and the compiled superinstruction engine, plus
-//! the launch-plan cache hit counters and the divergent-warp /
+//! prints ms/step for fast and modeled execution on the scalar tape and the
+//! compiled superinstruction engine (whose modeled launches run the scalar
+//! tape), plus the launch-plan cache hit counters and the divergent-warp /
 //! compiled-fallback audits, as one JSON record.
 //!
 //! Usage: `dispatch_bench [cube-edge] [steps]` (defaults 32, 60).
@@ -86,7 +86,7 @@ fn main() {
     let steps: usize = args.next().and_then(|a| a.parse().ok()).unwrap_or(60);
 
     // Provenance: captured before any launch so the snapshot records what
-    // the measured loops actually saw (this bin drives both tape engines
+    // the measured loops actually saw (this bin drives both engines
     // explicitly, so the engine field is fixed, not `VGPU_ENGINE`).
     let plan_cache = bench::provenance::plan_cache_state();
     let threads = bench::provenance::threads();
@@ -96,14 +96,12 @@ fn main() {
     let fast = fi_run(n, Engine::Tape).measure(steps, ExecMode::Fast);
     let model = fi_run(n, Engine::Tape).measure(steps, ExecMode::Model { sample_stride: 1 });
     let reg = telemetry::registry();
-    let divergent0 = reg.counter("vgpu.warp.divergent").get();
-    let vfast = fi_run(n, Engine::Vector).measure(steps, ExecMode::Fast);
-    let vmodel = fi_run(n, Engine::Vector).measure(steps, ExecMode::Model { sample_stride: 1 });
-    let divergent = reg.counter("vgpu.warp.divergent").get() - divergent0;
     // The compiled engine must cover the FI kernel outright: any fallback
     // to a lower rung means the measurement below is not what it claims.
     let cfallback0 = reg.counter("vgpu.compiled.fallbacks").get();
+    let divergent0 = reg.counter("vgpu.warp.divergent").get();
     let cfast = fi_run(n, Engine::Compiled).measure(steps, ExecMode::Fast);
+    let divergent = reg.counter("vgpu.warp.divergent").get() - divergent0;
     let cmodel = fi_run(n, Engine::Compiled).measure(steps, ExecMode::Model { sample_stride: 1 });
     let cfallbacks = reg.counter("vgpu.compiled.fallbacks").get() - cfallback0;
     if cfallbacks > 0 {
@@ -112,11 +110,10 @@ fn main() {
     }
     let record = format!(
         "{{\"bench\":\"dispatch\",\"cube\":{n},\"steps\":{steps},\
-         \"engine\":\"tape+vector+compiled\",\"ladder\":\"compiled\",\
+         \"engine\":\"tape+compiled\",\"ladder\":\"compiled\",\
          \"threads\":{threads},\"devices\":{devices},\
          \"plan_cache\":\"{plan_cache}\",\"sanitize\":\"{sanitize}\",\
          \"fast_ms_per_step\":{fast:.4},\"model_ms_per_step\":{model:.4},\
-         \"vector_fast_ms_per_step\":{vfast:.4},\"vector_model_ms_per_step\":{vmodel:.4},\
          \"compiled_fast_ms_per_step\":{cfast:.4},\"compiled_model_ms_per_step\":{cmodel:.4},\
          \"divergent_warps\":{divergent},\
          \"sites_proven\":{},\"sites_checked\":{},\

@@ -8,12 +8,12 @@
 use vgpu::telemetry;
 
 /// The engine label this process resolves from `VGPU_ENGINE` (the default
-/// is the warp-vectorized tape).
+/// is the compiled engine).
 pub fn engine_label() -> String {
     format!("{:?}", vgpu::Engine::from_env()).to_lowercase()
 }
 
-/// The engine-ladder leg (`tree|tape|vector|compiled`) flat launches
+/// The engine-ladder leg (`tree|tape|compiled`) flat launches
 /// execute on under the resolved engine. The differential engine runs
 /// every leg and returns the top rung's stats, so it records `compiled` —
 /// the leg whose numbers the record actually carries. Grouped (barrier)
@@ -23,7 +23,6 @@ pub fn ladder_leg() -> &'static str {
     match vgpu::Engine::from_env() {
         vgpu::Engine::Tree => "tree",
         vgpu::Engine::Tape => "tape",
-        vgpu::Engine::Vector => "vector",
         vgpu::Engine::Compiled | vgpu::Engine::Differential => "compiled",
     }
 }

@@ -439,8 +439,9 @@ fn param_access(kernel: &Kernel) -> (Vec<bool>, Vec<bool>) {
 
 /// Walks a host program's command list in queue order, tracking per
 /// `(device, slot)` whether the buffer has received an initializing
-/// write (upload, device copy, or a launch whose kernel stores to it),
-/// and flags every read of a still-uninitialized buffer. The tracking is
+/// write (upload, device copy, zero-filled allocation, or a launch whose
+/// kernel stores to it), and flags every read of a still-uninitialized
+/// buffer. The tracking is
 /// region-insensitive and deliberately conservative *against false
 /// positives*: any partial write counts as initialization — the
 /// element-precise complement is the runtime shadow sanitizer.
@@ -459,6 +460,7 @@ pub fn check_host_init(prog: &HostProgram) -> Vec<UninitRead> {
     };
     for (ci, cmd) in prog.cmds.iter().enumerate() {
         match cmd {
+            HostCmd::Alloc { dev, device, zeroed: true, .. } => mark(&mut init, *device, dev),
             HostCmd::Alloc { .. } => {}
             HostCmd::CopyIn { dev, device, .. } => mark(&mut init, *device, dev),
             HostCmd::DevCopy { src_device, src, dst_device, dst, .. } => {

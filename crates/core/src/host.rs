@@ -146,6 +146,10 @@ pub enum HostCmd {
         ty: Type,
         /// Device placement (queue index).
         device: usize,
+        /// True when the program relies on the buffer starting as zeros
+        /// (a `clEnqueueFillBuffer` after the allocation); otherwise its
+        /// contents are unpromised until written.
+        zeroed: bool,
     },
     /// `enqueueWriteBuffer`: copy a host input to a device slot.
     CopyIn {
@@ -392,6 +396,7 @@ impl HostCtx {
                                 dev: slot.clone(),
                                 ty: ty.clone(),
                                 device: 0,
+                                zeroed: false,
                             });
                             launch_args.push(LaunchArg::Buf(slot.clone()));
                             out_val = HVal::Dev { slot, ty: ty.clone() };
@@ -466,12 +471,22 @@ pub fn emit_host_c(p: &HostProgram) -> String {
     out.push_str("// ---- host code ----\n");
     for cmd in &p.cmds {
         match cmd {
-            HostCmd::Alloc { dev, ty, .. } => {
+            HostCmd::Alloc { dev, ty, device, zeroed } => {
                 let _ = writeln!(
                     out,
                     "cl_mem {dev} = clCreateBuffer(ctx, CL_MEM_READ_WRITE, {}, NULL, &err);",
                     bytes_expr(ty)
                 );
+                if *zeroed {
+                    let elem = ty.scalar_kind().map(|k| k.c_name()).unwrap_or("char");
+                    let _ = writeln!(
+                        out,
+                        "{{ const {elem} zero = 0; clEnqueueFillBuffer({}, {dev}, &zero, \
+                         sizeof(zero), 0, {}, 0, NULL, NULL); }}",
+                        queue(*device),
+                        bytes_expr(ty)
+                    );
+                }
             }
             HostCmd::CopyIn { host, dev, ty, device, src, dst_off, .. } => {
                 let q = queue(*device);

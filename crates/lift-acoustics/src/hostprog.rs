@@ -297,14 +297,18 @@ pub fn fimm_step_sharded_host_program(
     for cmd in &prog.cmds {
         match cmd {
             HostCmd::CopyIn { host, dev, ty, .. } => match host.as_str() {
-                // Grid arrays: Alloc a local slab (halo planes zeroed) and
+                // Grid arrays: Alloc a zero-filled local slab and
                 // region-write the owned planes; Σ bytes = unsharded copy.
+                // The fill is what the outer halo planes of the first and
+                // last slab hold (no neighbour exchanges into them), and it
+                // moves no host bytes.
                 "curr_h" | "prev_h" | "nbrs_h" => {
                     for d in 0..ndev {
                         cmds.push(HostCmd::Alloc {
                             dev: dev.clone(),
                             ty: local_grid_ty(host, d),
                             device: d,
+                            zeroed: true,
                         });
                         cmds.push(HostCmd::CopyIn {
                             host: host.clone(),
@@ -409,6 +413,7 @@ pub fn fimm_step_sharded_host_program(
                         dev: dev.clone(),
                         ty: local_grid_ty("out", d),
                         device: d,
+                        zeroed: false,
                     });
                 }
             }
@@ -547,5 +552,13 @@ mod tests {
         assert!(src.contains("queues[2]"), "missing third queue:\n{src}");
         assert!(src.contains("clEnqueueCopyBuffer"), "missing halo copy:\n{src}");
         assert!(src.contains("_slab"), "missing slab kernel reference:\n{src}");
+        // Grid slabs are zero-filled on every queue, so the outer halo
+        // planes nothing exchanges into hold promised zeros.
+        for q in ["(queue, d_curr_h", "(queues[1], d_curr_h", "(queues[2], d_curr_h"] {
+            assert!(
+                src.contains(&format!("clEnqueueFillBuffer{q}")),
+                "missing grid-slab fill {q}:\n{src}"
+            );
+        }
     }
 }

@@ -168,8 +168,8 @@ pub fn uninit_host_program() -> HostProgram {
     HostProgram {
         kernels: vec![lowered],
         cmds: vec![
-            HostCmd::Alloc { dev: "src".into(), ty: ty.clone(), device: 0 },
-            HostCmd::Alloc { dev: "out".into(), ty: ty.clone(), device: 0 },
+            HostCmd::Alloc { dev: "src".into(), ty: ty.clone(), device: 0, zeroed: false },
+            HostCmd::Alloc { dev: "out".into(), ty: ty.clone(), device: 0, zeroed: false },
             HostCmd::Launch {
                 kernel: 0,
                 args: vec![

@@ -26,6 +26,12 @@
 //! branch only) are rejected with an error and the launch falls back to the
 //! tree-walker, which remains the reference oracle (see
 //! [`crate::exec::Engine`]).
+//!
+//! Two executors run the result: the scalar interpreter ([`exec_phase`]),
+//! one work-item at a time, and the compiled engine's fused executor
+//! ([`exec_fused_warp`]), which runs the superinstruction blocks that
+//! [`crate::compile::lower`] builds from the tape one 32-lane warp at a
+//! time, reconverging divergent branches in place at their joins.
 
 use crate::buffer::{BufPtr, SharedBuf};
 use crate::exec::{Counters, PExpr, PMem, PStmt, Prepared, WriteRec, WARP};
@@ -423,10 +429,9 @@ pub(crate) fn fop_index(fop: &FOp) -> Option<usize> {
 pub(crate) const FOP_CMPJZ: usize = 4;
 
 /// A basic-block terminator of the compiled engine. Conditional terminators
-/// carry the pc of the first op they fused (`orig_pc`): when the active
-/// lanes disagree, the whole warp is delegated to the vector interpreter
-/// *at that pc*, which re-evaluates the (pure) condition and handles
-/// divergence with its mask/reconvergence machinery.
+/// carry their `join` block: the branch's immediate postdominator, where
+/// lanes that diverged there reconverge. `join` is `blocks.len()` (the
+/// virtual exit) when the branch's paths only meet again at `Halt`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FTerm {
     /// `Ret` / `Halt`: the phase is done for every active lane.
@@ -440,7 +445,7 @@ pub(crate) enum FTerm {
         k: K,
         on_zero: u32,
         on_nonzero: u32,
-        orig_pc: u32,
+        join: u32,
     },
     /// `Bin{t,a,b,cmp,k}; Jz{t,Bool,target}` with `t` single-use: lanes
     /// where `a cmp b` is false go to `on_zero`.
@@ -451,7 +456,7 @@ pub(crate) enum FTerm {
         k: K,
         on_zero: u32,
         on_nonzero: u32,
-        orig_pc: u32,
+        join: u32,
     },
     /// `JgeI64{a,b,target}`: lanes where `a >= b` go to `on_ge`.
     JgeI64 {
@@ -459,7 +464,7 @@ pub(crate) enum FTerm {
         b: R,
         on_ge: u32,
         on_lt: u32,
-        orig_pc: u32,
+        join: u32,
     },
 }
 
@@ -472,8 +477,7 @@ pub(crate) struct FBlock {
 
 /// A tape re-lowered into superinstruction basic blocks for the compiled
 /// engine. Built by [`crate::compile::lower`]; executed by
-/// [`exec_fused_warp`]. The original [`Compiled`] tape stays alongside as
-/// the divergence-delegation target.
+/// [`exec_fused_warp`].
 #[derive(Debug, Clone)]
 pub struct Fused {
     pub(crate) blocks: Vec<FBlock>,
@@ -508,7 +512,7 @@ pub struct Compiled {
     /// Ops eliminated by the peephole optimizer: constant folds, dead ops
     /// removed, and ops hoisted into `pre`. Feeds `vgpu.tape.optimized_ops`.
     pub(crate) optimized_ops: u32,
-    /// Reconvergence metadata for the warp interpreter, parallel to `ops`:
+    /// Reconvergence metadata for the compiled engine, parallel to `ops`:
     /// `joins[pc]` is the immediate postdominator of the conditional branch
     /// at `pc` — the first instruction every lane reaches again no matter
     /// which side of the branch it took — `ops.len()` when the branch's
@@ -992,19 +996,19 @@ pub(crate) fn compile(prep: &Prepared) -> Result<Compiled, String> {
         // engine rather than trusting a tape the check rejected.
         return Err("tape validation failed".into());
     }
-    // Branch reconvergence points for the warp interpreter, computed on the
+    // Branch reconvergence points for the compiled engine, computed on the
     // final op stream (the optimizer has already remapped every target).
     c.joins = compute_joins(&c.ops);
     Ok(c)
 }
 
 /// `joins[pc]` value for ops that are not conditional branches (or whose
-/// join could not be established): the warp interpreter must finish the
+/// join could not be established): the compiled engine must finish the
 /// affected lanes on the scalar interpreter instead of reconverging.
 pub(crate) const NO_JOIN: u32 = u32::MAX;
 
-/// Immediate postdominators of the tape's conditional branches — the warp
-/// interpreter's reconvergence points. The tape's control-flow graph is one
+/// Immediate postdominators of the tape's conditional branches — the
+/// compiled engine's reconvergence points. The tape's control-flow graph is one
 /// node per op (successors: fall-through, jump targets, or a shared virtual
 /// exit after `Ret`/`Halt`); postdominators are computed by the standard
 /// iterative algorithm of Cooper–Harvey–Kennedy run on the reversed graph,
@@ -1132,8 +1136,8 @@ fn validate(c: &Compiled) -> bool {
 // 0. **If-conversion** — branch diamonds whose arms are pure straight-line
 //    code are flattened: both arms execute unconditionally into renamed
 //    temporaries and a predicated `Sel` picks the taken side's bits for
-//    each live-out register. This is what keeps the warp interpreter
-//    convergent on stencil boundary logic.
+//    each live-out register. This is what keeps the compiled engine's
+//    warps convergent on stencil boundary logic.
 // 1. **Constant folding** — pure register ops whose operands are all
 //    compile-time constants are rewritten to `Const`.
 // 2. **Hoisting** — pure ops in a phase's entry block (before any control
@@ -1994,8 +1998,6 @@ fn flush_pending(prof: &mut Option<&mut OpProf>, pending: &mut Option<(usize, In
     }
 }
 
-/// Executes one phase of a compiled tape for one work-item. Returns `true`
-/// when the item executed `Ret` (early exit).
 /// Unchecked register read. The tape passed [`validate`] at compile time
 /// (every operand `< nregs`) and `exec_phase` asserts the register file is
 /// at least `nregs` long, so the index is always in bounds.
@@ -2014,6 +2016,8 @@ fn wr(regs: &mut [u64], r: R, v: u64) {
     unsafe { *regs.get_unchecked_mut(r as usize) = v }
 }
 
+/// Executes one phase of a compiled tape for one work-item. Returns `true`
+/// when the item executed `Ret` (early exit).
 pub(crate) fn exec_phase(
     c: &Compiled,
     phase: usize,
@@ -2022,27 +2026,22 @@ pub(crate) fn exec_phase(
     locals: &mut [Vec<u64>],
     t: &mut TapeCtx<'_>,
 ) -> bool {
-    exec_phase_from(c, c.phase_starts[phase] as usize, regs, privs, locals, t)
+    let entry = c.phase_starts[phase] as usize;
+    if t.prof.is_some() {
+        exec_scalar::<true>(c, entry, regs, privs, locals, t)
+    } else {
+        exec_scalar::<false>(c, entry, regs, privs, locals, t)
+    }
 }
 
-/// How a (possibly bounded) scalar tape run ended.
-#[derive(PartialEq, Eq)]
-enum ScalarRun {
-    /// The item executed `Ret` (early exit).
-    Ret,
-    /// The item ran off the end of the phase (`Halt`).
-    Halt,
-    /// Bounded run only: the item reached the `until` pc without executing
-    /// it — it is parked at a reconvergence point, not finished.
-    Until,
-}
-
-/// [`exec_phase`] starting at an arbitrary instruction. The vectorized warp
-/// interpreter uses this to continue individual lanes from a divergent
-/// branch: the branch op itself re-evaluates its condition from the lane's
-/// registers (a pure read), so resuming *at* the branch reproduces scalar
-/// control flow exactly without duplicating any side effect.
-pub(crate) fn exec_phase_from(
+/// The scalar interpreter loop; returns `true` when the item executed `Ret`
+/// and `false` when it ran off the end of the phase (`Halt`). `PROF`
+/// switches per-opcode time attribution on: it is a const generic, so the
+/// unprofiled instantiation carries no timing code at all — the same
+/// licensing discipline structural validation uses for unchecked register
+/// access.
+#[inline(never)] // keep the two PROF instantiations from inlining side by side
+fn exec_scalar<const PROF: bool>(
     c: &Compiled,
     entry: usize,
     regs: &mut [u64],
@@ -2050,32 +2049,6 @@ pub(crate) fn exec_phase_from(
     locals: &mut [Vec<u64>],
     t: &mut TapeCtx<'_>,
 ) -> bool {
-    let run = if t.prof.is_some() {
-        exec_scalar::<false, true>(c, entry, usize::MAX, regs, privs, locals, t)
-    } else {
-        exec_scalar::<false, false>(c, entry, usize::MAX, regs, privs, locals, t)
-    };
-    run == ScalarRun::Ret
-}
-
-/// The scalar interpreter loop. `BOUNDED` is a compile-time switch: `false`
-/// instantiates the unbounded hot path (no per-op `until` compare), `true`
-/// the warp interpreter's per-lane continuation, which stops *before*
-/// executing the op at `until` so the lane can rejoin vectorized execution
-/// there. `PROF` switches per-opcode time attribution on: like `BOUNDED` it
-/// is a const generic, so the unprofiled instantiation carries no timing
-/// code at all — the same licensing discipline structural validation uses
-/// for unchecked register access.
-#[inline(never)] // keep the two PROF instantiations from inlining side by side
-fn exec_scalar<const BOUNDED: bool, const PROF: bool>(
-    c: &Compiled,
-    entry: usize,
-    until: usize,
-    regs: &mut [u64],
-    privs: &mut [Vec<u64>],
-    locals: &mut [Vec<u64>],
-    t: &mut TapeCtx<'_>,
-) -> ScalarRun {
     assert!(regs.len() >= c.nregs, "register file smaller than tape nregs");
     assert!(entry < c.ops.len(), "entry pc outside the tape");
     let ops = &c.ops[..];
@@ -2086,12 +2059,6 @@ fn exec_scalar<const BOUNDED: bool, const PROF: bool>(
     // target's first dispatch, which is exactly their interpretation cost.
     let mut pending: Option<(usize, Instant)> = None;
     loop {
-        if BOUNDED && pc == until {
-            if PROF {
-                flush_pending(&mut t.prof, &mut pending);
-            }
-            return ScalarRun::Until;
-        }
         if PROF {
             let now = Instant::now();
             if let (Some((idx, start)), Some(p)) = (pending.take(), t.prof.as_deref_mut()) {
@@ -2277,46 +2244,31 @@ fn exec_scalar<const BOUNDED: bool, const PROF: bool>(
                 if PROF {
                     flush_pending(&mut t.prof, &mut pending);
                 }
-                return ScalarRun::Ret;
+                return true;
             }
             Op::Halt => {
                 if PROF {
                     flush_pending(&mut t.prof, &mut pending);
                 }
-                return ScalarRun::Halt;
+                return false;
             }
         }
         pc += 1;
     }
 }
 
-// ---- warp-vectorized execution ----
+// ---- warp-wide execution state ----
 //
-// The scalar interpreter above re-dispatches every op once per work-item:
-// 32 fetch/decode cycles per warp per op. The warp interpreter decodes each
-// op *once* and applies it to the active lanes through a structure-of-arrays
-// register file (`vregs[r * WARP + lane]`), the software analogue of SIMT
-// instruction issue on the paper's GPUs. Lanes of one warp are consecutive
-// work-items; the active set is a lane bitmask, initially the prefix
-// `0..nact` (only the final warp of an NDRange is partial).
-//
-// Branches follow the hardware's reconvergence discipline. A branch whose
-// active lanes agree takes a single jump. When lanes *diverge*, the
-// interpreter executes both sides under complementary masks and reconverges
-// at the branch's immediate postdominator (`Compiled::joins`, computed at
-// compile time) — exactly the stack-based reconvergence real SIMT hardware
-// performs, which keeps warps vectorized across the per-lane boundary
-// conditions that dominate the acoustics kernels. Lanes that `Ret` inside a
-// masked region simply drop out of the mask. Only when no join is usable (a
-// branch whose paths never meet again, or reconvergence nested past
-// `MAX_DIVERGE_DEPTH`) does a lane finish on the scalar interpreter — run
-// *until the join*, so even that path rejoins vector execution. Divergence
-// is therefore a performance event, never a correctness one, and
-// `vgpu.warp.divergent` counts the warps that actually paid for it.
+// The compiled engine applies each superinstruction to all active lanes of
+// a warp at once through a structure-of-arrays register file
+// (`vregs[r * WARP + lane]`), the software analogue of SIMT instruction
+// issue on the paper's GPUs. Lanes of one warp are consecutive work-items;
+// the active set is a lane bitmask, initially the prefix `0..nact` (only
+// the final warp of an NDRange is partial).
 
 /// Unchecked SoA register read: lane `l` of register `r`. Same license as
 /// [`rg`] — `validate` bounds every operand below `nregs`, and
-/// [`exec_phase_warp`] asserts the SoA file holds `nregs * WARP` lanes with
+/// [`exec_fused_warp`] asserts the SoA file holds `nregs * WARP` lanes with
 /// `l < WARP`.
 #[inline(always)]
 fn vg(vregs: &[u64], r: R, l: usize) -> u64 {
@@ -2456,7 +2408,7 @@ fn vmap3(vregs: &mut [u64], dst: R, a: R, b: R, c: R, mask: u32, f: impl Fn(u64,
     });
 }
 
-/// Registers the flat vector dispatcher must broadcast into every lane of a
+/// Registers the compiled engine's dispatcher must broadcast into every lane of a
 /// warp register file, split by lifetime:
 ///
 /// - `.0` — broadcast **once per register-file allocation**: scalar slots
@@ -2536,31 +2488,15 @@ pub(crate) fn exec_item_pre_warp(
     }
 }
 
-/// Reconvergence recursion bound: one level per simultaneously-open masked
-/// region (nested `If`s, or one level per divergent loop-exit event — at
-/// most one per lane). Far above anything structured kernels produce; past
-/// it the affected lanes finish on the bounded scalar interpreter, which is
-/// a performance valve, not a correctness limit.
-const MAX_DIVERGE_DEPTH: u32 = 64;
-
-/// Per-warp launch state threaded through [`exec_phase_warp`]. Counters and
-/// race records are shared across lanes (bulk-added per op); transaction
-/// traces stay per-lane so the existing warp coalescing model
-/// (`warp_transaction_bytes`) sees the same per-item access sequences the
-/// scalar interpreter produces.
+/// Per-warp launch state threaded through [`exec_fused_warp`]. Counters are
+/// shared across lanes (bulk-added per op). The compiled engine keeps no
+/// per-item access traces — modeled (traced) launches run the scalar tape —
+/// but records writes for the race check.
 pub(crate) struct WarpCtx<'a> {
     /// Buffer bindings (by parameter index).
     pub bufs: &'a [Option<&'a SharedBuf>],
     /// Shared operation counters.
     pub counters: &'a mut Counters,
-    /// Per-lane transaction traces (`traces[l]` belongs to lane `l`).
-    pub traces: &'a mut [Vec<(u32, u32, u64)>],
-    /// Record load/store addresses into `traces`.
-    pub trace_on: bool,
-    /// Shared global-store records for the race detector.
-    pub writes: &'a mut Vec<WriteRec>,
-    /// Record stores into `writes`.
-    pub race_on: bool,
     /// Per-lane linear work-item ids.
     pub items: &'a [u64],
     /// Per-lane global ids.
@@ -2568,64 +2504,33 @@ pub(crate) struct WarpCtx<'a> {
     /// Global NDRange sizes.
     pub gsize: [usize; 3],
     /// Per-opcode time tally (`VGPU_PROFILE=op` only); `None` selects the
-    /// unprofiled warp-interpreter instantiation.
+    /// unprofiled executor instantiation.
     pub prof: Option<&'a mut OpProf>,
     /// Kernel identity for shadow-sanitizer findings (`None` when the
     /// sanitizer is off).
     pub san: Option<crate::sanitize::SanCtx<'a>>,
-}
-
-/// Executes one phase of a compiled tape for a whole warp at once: `nact`
-/// active lanes (initially a prefix; the last warp of an NDRange may be
-/// partial) advance through the tape in lockstep over the SoA register file
-/// `vregs`, diverging and reconverging per the SIMT mask discipline in the
-/// section comment above. Arithmetic reuses the exact bit-level helpers of
-/// the scalar interpreter ([`bin_bits`], [`cast_bits`],
-/// [`intr1_f32`]/[`intr1_f64`]), so results are bit-identical lane for
-/// lane. Returns `true` when any branch diverged — the warp still ran to
-/// completion; the flag feeds `vgpu.warp.divergent`.
-pub(crate) fn exec_phase_warp(
-    c: &Compiled,
-    phase: usize,
-    nact: usize,
-    vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-) -> bool {
-    assert!(vregs.len() >= c.nregs * WARP, "SoA register file smaller than tape nregs");
-    assert!((1..=WARP).contains(&nact), "active lanes out of range");
-    assert!(lane_privs.len() >= nact && w.items.len() >= nact && w.gids.len() >= nact);
-    assert_eq!(c.joins.len(), c.ops.len(), "tape compiled without join metadata");
-    let prof_on = w.prof.is_some();
-    let mut ex =
-        WarpExec { c, vregs, lane_privs, w, scratch: Vec::new(), diverged: false, pending: None };
-    let (entry, end, mask) = (c.phase_starts[phase] as usize, c.ops.len(), prefix_mask(nact));
-    if prof_on {
-        ex.run::<true>(entry, end, mask, 0);
-        // Close the final op's span (the `Ret`/`Halt` that ended the phase).
-        ex.flush_pending();
-    } else {
-        ex.run::<false>(entry, end, mask, 0);
-    }
-    ex.diverged
+    /// Global-store records for the race check (`None` when it is off).
+    pub writes: Option<&'a mut Vec<WriteRec>>,
 }
 
 // ---- fused-block executor (the compiled engine's inner loop) ----
 //
-// `exec_fused_warp` is the compiled counterpart of `exec_phase_warp`: it
-// walks superinstruction basic blocks instead of decoding one op at a time,
-// under a lane mask. Uniform terminators just pick the next block.
-// Divergent terminators resolve in place where the block graph allows it:
-// a halt-only successor (an early-return guard) retires its lanes from the
-// mask, and single-block diamond/triangle arms run if-converted under
-// complementary masks before reconverging at the join. Only shapes outside
-// those patterns — divergent loop trip counts, multi-block arms — hand the
-// warp to the vector interpreter at the terminator's original tape pc
-// (`exec_warp_from`), whose general reconvergence machinery finishes the
-// phase. Conditions are pure register reads, so re-evaluating them after
-// the hand-off neither skips nor doubles any effect. All lane loops go
-// through `for_mask!`, which presents LLVM with constant-trip (full warp)
-// or dense-range (contiguous mask) counted loops over monomorphic bodies.
+// `exec_fused_warp` walks superinstruction basic blocks under a lane mask.
+// Uniform terminators just pick the next block. Branches follow the
+// hardware's reconvergence discipline: when the active lanes disagree, each
+// side runs under its own mask until the branch's join block — its
+// immediate postdominator (`compute_joins`, mapped to a block by
+// `compile::lower`) — where the lanes merge again. Nested and loop-carried
+// divergence recurse, one level per open region; lanes that `Halt` drop
+// out of their region's mask, so an early-return guard simply retires its
+// lanes. Each level splits a non-empty mask in two, so a 32-lane warp never
+// opens more than 31 regions and the recursion needs no depth bound. A
+// branch whose paths only meet again at `Halt` has the virtual exit as its
+// join: each side then runs to completion under its own mask. Divergence
+// is therefore a performance event, never a correctness one, and
+// `vgpu.warp.divergent` counts the warps that paid for it. All lane loops go through
+// `for_mask!`, which presents LLVM with constant-trip (full warp) or
+// dense-range (contiguous mask) counted loops over monomorphic bodies.
 //
 // Bounds discipline: the executor receives a per-site `checked` table
 // (true ⇒ keep the dynamic check). Sites the static verifier proved in
@@ -2635,43 +2540,11 @@ pub(crate) fn exec_phase_warp(
 // release-mode `assert!` and fail with a clean panic instead of undefined
 // behaviour.
 
-/// Resumes the vector interpreter at tape pc `pc` under the given active
-/// mask and runs the phase to completion. Divergence-delegation entry for
-/// the compiled engine — the fallback for control-flow shapes the masked
-/// fused executor does not handle in place (divergent loop trip counts,
-/// multi-block diamond arms).
-fn exec_warp_from(
-    c: &Compiled,
-    pc: usize,
-    mask: u32,
-    vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-) {
-    let prof_on = w.prof.is_some();
-    let mut ex =
-        WarpExec { c, vregs, lane_privs, w, scratch: Vec::new(), diverged: false, pending: None };
-    let end = c.ops.len();
-    if prof_on {
-        ex.run::<true>(pc, end, mask, 0);
-        ex.flush_pending();
-    } else {
-        ex.run::<false>(pc, end, mask, 0);
-    }
-}
-
 /// Executes one phase of a fused tape for a whole warp: the active lanes
-/// advance block by block under a lane mask. Divergent branches are
-/// resolved in place where the block graph allows it — early-return guards
-/// retire their lanes from the mask, and single-block diamond/triangle
-/// arms run if-converted under complementary masks — so the monomorphic
-/// superinstruction loops keep running; only shapes outside those patterns
-/// (divergent loop trips, nested arms) delegate the warp to the vector
-/// interpreter. Returns `true` when the warp diverged — the same condition
-/// ([`WarpExec::branch`]'s lanes-disagree test) the vector engine reports,
-/// so `vgpu.warp.divergent` stays bit-identical across engine legs. The
-/// caller must have tracing and race recording off; those modes run the
-/// vector engine wholesale instead.
+/// (initially a prefix; the last warp of an NDRange may be partial) advance
+/// block by block under a lane mask, diverging and reconverging per the
+/// section comment above. Returns `true` when any branch's active lanes
+/// disagreed; the flag feeds `vgpu.warp.divergent`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn exec_fused_warp(
     f: &Fused,
@@ -2686,181 +2559,135 @@ pub(crate) fn exec_fused_warp(
     assert!(vregs.len() >= c.nregs * WARP, "SoA register file smaller than tape nregs");
     assert!((1..=WARP).contains(&nact), "active lanes out of range");
     assert!(lane_privs.len() >= nact && w.items.len() >= nact && w.gids.len() >= nact);
-    debug_assert!(!w.trace_on && !w.race_on, "tracing/race modes run the vector engine");
-    if w.prof.is_some() {
-        run_fused::<true>(f, c, phase, nact, vregs, lane_privs, w, checked)
+    let mut ex = FusedWarp { f, vregs, lane_privs, w, checked, diverged: false };
+    let (entry, exit, mask) = (f.entries[phase] as usize, f.blocks.len(), prefix_mask(nact));
+    if ex.w.prof.is_some() {
+        ex.run::<true>(entry, exit, mask);
     } else {
-        run_fused::<false>(f, c, phase, nact, vregs, lane_privs, w, checked)
+        ex.run::<false>(entry, exit, mask);
     }
+    ex.diverged
 }
 
-/// True for a block that only retires its lanes: no ops, `Halt` terminator.
-/// The early-return guards of the acoustics kernels branch to exactly this
-/// shape, so a divergent guard just masks the returning lanes out.
-#[inline(always)]
-fn halt_only(b: &FBlock) -> bool {
-    b.ops.is_empty() && matches!(b.term, FTerm::Halt)
+/// One warp's execution state: the pieces [`FusedWarp::run`] threads
+/// through its reconvergence recursion.
+struct FusedWarp<'e, 'w> {
+    f: &'e Fused,
+    vregs: &'e mut [u64],
+    lane_privs: &'e mut [Vec<Vec<u64>>],
+    w: &'e mut WarpCtx<'w>,
+    checked: &'e [bool],
+    diverged: bool,
 }
 
-/// The block `b` jumps to unconditionally, if its terminator is a `Jmp`.
-#[inline(always)]
-fn jmp_exit(f: &Fused, b: u32) -> Option<u32> {
-    match f.blocks[b as usize].term {
-        FTerm::Jmp { block } => Some(block),
-        _ => None,
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_fused<const PROF: bool>(
-    f: &Fused,
-    c: &Compiled,
-    phase: usize,
-    nact: usize,
-    vregs: &mut [u64],
-    lane_privs: &mut [Vec<Vec<u64>>],
-    w: &mut WarpCtx<'_>,
-    checked: &[bool],
-) -> bool {
-    let mut mask = prefix_mask(nact);
-    let mut diverged = false;
-    let mut bi = f.entries[phase] as usize;
-    loop {
-        let blk = &f.blocks[bi];
-        exec_block_ops::<PROF>(&blk.ops, mask, vregs, lane_privs, w, checked);
-        let t0 = if PROF { Some(Instant::now()) } else { None };
-        // `zmask` collects the active lanes taking the `on_zero` side.
-        let (zmask, on_zero, on_nonzero, orig_pc, prof_idx) = match blk.term {
-            FTerm::Halt => return diverged,
-            FTerm::Jmp { block } => {
-                bi = block as usize;
+impl FusedWarp<'_, '_> {
+    /// Executes blocks from `bi` until the active lanes reach block `until`
+    /// (`blocks.len()`, the virtual exit, means "run to `Halt`"). Returns
+    /// the mask of lanes parked at `until`, without executing it; lanes
+    /// that `Halt` first are dropped. `mask` starts non-empty.
+    fn run<const PROF: bool>(&mut self, mut bi: usize, until: usize, mut mask: u32) -> u32 {
+        let f = self.f;
+        loop {
+            if bi == until {
+                return mask;
+            }
+            let blk = &f.blocks[bi];
+            exec_block_ops::<PROF>(
+                &blk.ops,
+                mask,
+                self.vregs,
+                self.lane_privs,
+                self.w,
+                self.checked,
+            );
+            let vregs = &*self.vregs;
+            let t0 = if PROF { Some(Instant::now()) } else { None };
+            // `jmask` collects the active lanes that take the jump.
+            let (jmask, target, fall, join, prof_idx) = match blk.term {
+                FTerm::Halt => return 0,
+                FTerm::Jmp { block } => {
+                    bi = block as usize;
+                    continue;
+                }
+                FTerm::Jz { cond, k, on_zero, on_nonzero, join } => {
+                    let mut jm = 0u32;
+                    for_mask!(mask, l, {
+                        if !truthy(k, vg(vregs, cond, l)) {
+                            jm |= 1 << l;
+                        }
+                    });
+                    (jm, on_zero, on_nonzero, join, 30usize)
+                }
+                FTerm::CmpJz { a, b, op, k, on_zero, on_nonzero, join } => {
+                    let mut jm = 0u32;
+                    match (k, op) {
+                        (K::I32, BinOp::Ge) => for_mask!(mask, l, {
+                            if i32v(vg(vregs, a, l)) < i32v(vg(vregs, b, l)) {
+                                jm |= 1 << l;
+                            }
+                        }),
+                        (K::I32, BinOp::Lt) => for_mask!(mask, l, {
+                            if i32v(vg(vregs, a, l)) >= i32v(vg(vregs, b, l)) {
+                                jm |= 1 << l;
+                            }
+                        }),
+                        (K::I32, BinOp::Eq) => for_mask!(mask, l, {
+                            if i32v(vg(vregs, a, l)) != i32v(vg(vregs, b, l)) {
+                                jm |= 1 << l;
+                            }
+                        }),
+                        (K::I32, BinOp::Ne) => for_mask!(mask, l, {
+                            if i32v(vg(vregs, a, l)) == i32v(vg(vregs, b, l)) {
+                                jm |= 1 << l;
+                            }
+                        }),
+                        _ => for_mask!(mask, l, {
+                            if !truthy(K::Bool, bin_bits(op, k, vg(vregs, a, l), vg(vregs, b, l))) {
+                                jm |= 1 << l;
+                            }
+                        }),
+                    }
+                    (jm, on_zero, on_nonzero, join, NOPCODES + FOP_CMPJZ)
+                }
+                FTerm::JgeI64 { a, b, on_ge, on_lt, join } => {
+                    let mut jm = 0u32;
+                    for_mask!(mask, l, {
+                        if i64v(vg(vregs, a, l)) >= i64v(vg(vregs, b, l)) {
+                            jm |= 1 << l;
+                        }
+                    });
+                    (jm, on_ge, on_lt, join, 12usize)
+                }
+            };
+            if PROF {
+                if let Some(p) = self.w.prof.as_deref_mut() {
+                    p.add(prof_idx, t0.expect("prof start").elapsed());
+                }
+            }
+            let fmask = mask & !jmask;
+            if jmask == 0 {
+                bi = fall as usize;
                 continue;
             }
-            FTerm::Jz { cond, k, on_zero, on_nonzero, orig_pc } => {
-                let mut zm = 0u32;
-                for_mask!(mask, l, {
-                    if !truthy(k, vg(vregs, cond, l)) {
-                        zm |= 1 << l;
-                    }
-                });
-                (zm, on_zero, on_nonzero, orig_pc, 30usize)
+            if fmask == 0 {
+                bi = target as usize;
+                continue;
             }
-            FTerm::CmpJz { a, b, op, k, on_zero, on_nonzero, orig_pc } => {
-                let mut zm = 0u32;
-                match (k, op) {
-                    (K::I32, BinOp::Ge) => for_mask!(mask, l, {
-                        if i32v(vg(vregs, a, l)) < i32v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                    (K::I32, BinOp::Lt) => for_mask!(mask, l, {
-                        if i32v(vg(vregs, a, l)) >= i32v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                    (K::I32, BinOp::Eq) => for_mask!(mask, l, {
-                        if i32v(vg(vregs, a, l)) != i32v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                    (K::I32, BinOp::Ne) => for_mask!(mask, l, {
-                        if i32v(vg(vregs, a, l)) == i32v(vg(vregs, b, l)) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                    _ => for_mask!(mask, l, {
-                        if !truthy(K::Bool, bin_bits(op, k, vg(vregs, a, l), vg(vregs, b, l))) {
-                            zm |= 1 << l;
-                        }
-                    }),
-                }
-                (zm, on_zero, on_nonzero, orig_pc, NOPCODES + FOP_CMPJZ)
+            self.diverged = true;
+            // Fall-through side first, then the jump side, each to the
+            // join. Writes are per-lane and work-items are disjoint, so
+            // side order cannot change any observable result.
+            let j = join as usize;
+            let m = self.run::<PROF>(fall as usize, j, fmask)
+                | self.run::<PROF>(target as usize, j, jmask);
+            // Every lane returned inside the sides (the join is the virtual
+            // exit, or lies past it): nothing is left to park.
+            if m == 0 {
+                return 0;
             }
-            FTerm::JgeI64 { a, b, on_ge, on_lt, orig_pc } => {
-                let mut zm = 0u32;
-                for_mask!(mask, l, {
-                    if i64v(vg(vregs, a, l)) < i64v(vg(vregs, b, l)) {
-                        zm |= 1 << l;
-                    }
-                });
-                (zm, on_lt, on_ge, orig_pc, 12usize)
-            }
-        };
-        if PROF {
-            if let Some(p) = w.prof.as_deref_mut() {
-                p.add(prof_idx, t0.expect("prof start").elapsed());
-            }
+            bi = j;
+            mask = m;
         }
-        let m1 = mask & !zmask;
-        bi = if zmask == 0 {
-            on_nonzero as usize
-        } else if m1 == 0 {
-            on_zero as usize
-        } else {
-            // The lanes disagree — the exact condition [`WarpExec::branch`]
-            // reports as divergence, so flag it identically, then resolve
-            // the split in place when the block shape allows.
-            diverged = true;
-            if halt_only(&f.blocks[on_zero as usize]) {
-                mask = m1;
-                on_nonzero as usize
-            } else if halt_only(&f.blocks[on_nonzero as usize]) {
-                mask = zmask;
-                on_zero as usize
-            } else {
-                let ez = jmp_exit(f, on_zero);
-                let enz = jmp_exit(f, on_nonzero);
-                if enz == Some(on_zero) {
-                    // Triangle: the nonzero side is a single-block arm
-                    // rejoining at `on_zero`.
-                    exec_block_ops::<PROF>(
-                        &f.blocks[on_nonzero as usize].ops,
-                        m1,
-                        vregs,
-                        lane_privs,
-                        w,
-                        checked,
-                    );
-                    on_zero as usize
-                } else if ez == Some(on_nonzero) {
-                    exec_block_ops::<PROF>(
-                        &f.blocks[on_zero as usize].ops,
-                        zmask,
-                        vregs,
-                        lane_privs,
-                        w,
-                        checked,
-                    );
-                    on_nonzero as usize
-                } else if let Some(join) = ez.filter(|&j| enz == Some(j)) {
-                    // Diamond: both arms are single blocks jumping to one
-                    // join. Run each under its side's mask (fall-through
-                    // side first, like the interpreter) and reconverge.
-                    // Writes are per-lane and work-items are disjoint, so
-                    // arm order cannot change any observable result.
-                    exec_block_ops::<PROF>(
-                        &f.blocks[on_nonzero as usize].ops,
-                        m1,
-                        vregs,
-                        lane_privs,
-                        w,
-                        checked,
-                    );
-                    exec_block_ops::<PROF>(
-                        &f.blocks[on_zero as usize].ops,
-                        zmask,
-                        vregs,
-                        lane_privs,
-                        w,
-                        checked,
-                    );
-                    join as usize
-                } else {
-                    exec_warp_from(c, orig_pc as usize, mask, vregs, lane_privs, w);
-                    return true;
-                }
-            }
-        };
     }
 }
 
@@ -2917,6 +2744,17 @@ fn gather_lanes(b: &SharedBuf, idx: &[i64; WARP], mask: u32, vals: &mut [u64; WA
         BufPtr::I32(p) => for_mask!(mask, l, {
             vals[l] = unsafe { *p.add(idx[l] as usize) as u32 as u64 };
         }),
+    }
+}
+
+/// Records the active lanes' stores to `buf[idx[l]]` for the race check,
+/// in the scalar tape's `(buffer, element, item, site)` form.
+#[inline(always)]
+fn record_writes(w: &mut WarpCtx<'_>, buf: u32, idx: &[i64; WARP], mask: u32, site: u32) {
+    if let Some(wr) = w.writes.as_deref_mut() {
+        for_mask!(mask, l, {
+            wr.push((buf, idx[l] as u64, w.items[l], site));
+        });
     }
 }
 
@@ -3186,13 +3024,14 @@ fn exec_fop(
                 });
             }
             shadow_scatter(b, &idx, mask);
+            record_writes(w, buf as u32, &idx, mask, site);
             scatter_lanes(b, vk, &idx, mask, vregs, val);
         }
     }
 }
 
-/// Masked execution of an unfused op: the vector interpreter's arms under
-/// the fused executor's lane mask, plus the compiled engine's per-site
+/// Masked execution of an unfused op under the fused executor's lane mask,
+/// plus the compiled engine's per-site
 /// bounds discipline on `LdG`/`StG`. The hot arms of the acoustics tapes
 /// (i32 index arithmetic, comparisons, `AsI64` from i32, bool logic/select)
 /// are monomorphised so the lane loops carry no per-lane kind dispatch.
@@ -3344,7 +3183,7 @@ fn exec_base_dense(
                     );
                 });
             }
-            shadow_gather(b, &ixs, mask, &w.san, buf as usize, site, "vector");
+            shadow_gather(b, &ixs, mask, &w.san, buf as usize, site, "compiled");
             let mut vals = [0u64; WARP];
             gather_lanes(b, &ixs, mask, &mut vals);
             for_mask!(mask, l, {
@@ -3373,6 +3212,7 @@ fn exec_base_dense(
                 });
             }
             shadow_scatter(b, &ixs, mask);
+            record_writes(w, buf as u32, &ixs, mask, site);
             scatter_lanes(b, vk, &ixs, mask, vregs, val);
         }
         Op::LdP { dst, arr, idx } => {
@@ -3404,476 +3244,6 @@ fn exec_base_dense(
         Op::Jmp { .. } | Op::Jz { .. } | Op::JgeI64 { .. } | Op::Ret | Op::Halt => {
             unreachable!("control flow is a block terminator, never a block op")
         }
-    }
-}
-
-/// Outcome of resolving a conditional branch for the active mask.
-enum Branch {
-    /// Continue vectorized execution at this pc with this mask.
-    Goto(usize, u32),
-    /// The enclosing region is finished: this mask of lanes (possibly
-    /// empty) is parked at its `until` pc; the rest returned.
-    Reached(u32),
-}
-
-/// One warp's execution state: the pieces [`WarpExec::run`] threads through
-/// its reconvergence recursion.
-struct WarpExec<'e, 'w> {
-    c: &'e Compiled,
-    vregs: &'e mut [u64],
-    lane_privs: &'e mut [Vec<Vec<u64>>],
-    w: &'e mut WarpCtx<'w>,
-    /// Scalar register file for the per-lane bailout; sized on first use.
-    scratch: Vec<u64>,
-    diverged: bool,
-    /// Profiled runs only: the opcode whose warp-wide dispatch is open and
-    /// its start time. A *field* (not a `run` local) so reconvergence
-    /// recursion attributes seamlessly: a child region's first iteration
-    /// closes the parent's branch-op span, and nothing is double-counted.
-    pending: Option<(usize, Instant)>,
-}
-
-impl WarpExec<'_, '_> {
-    /// Closes the open per-op attribution span, if any (profiled runs).
-    #[inline]
-    fn flush_pending(&mut self) {
-        flush_pending(&mut self.w.prof, &mut self.pending);
-    }
-
-    /// Executes ops from `pc` until the active lanes reach the
-    /// reconvergence pc `until` (`c.ops.len()` means "run to `Ret`/`Halt`").
-    /// Returns the mask of lanes parked at `until`, without executing it;
-    /// lanes that hit `Ret`/`Halt` first are dropped. `mask` starts
-    /// non-empty. `PROF` compiles per-opcode time attribution in; see
-    /// [`exec_scalar`].
-    fn run<const PROF: bool>(
-        &mut self,
-        mut pc: usize,
-        until: usize,
-        mut mask: u32,
-        depth: u32,
-    ) -> u32 {
-        let ops = &self.c.ops[..];
-        loop {
-            if pc == until {
-                return mask;
-            }
-            if PROF {
-                let now = Instant::now();
-                if let (Some((idx, start)), Some(p)) =
-                    (self.pending.take(), self.w.prof.as_deref_mut())
-                {
-                    p.add(idx, now - start);
-                }
-                // SAFETY: as for the fetch below — `pc` is in bounds.
-                self.pending = Some((op_index(unsafe { ops.get_unchecked(pc) }), now));
-            }
-            let vregs = &mut *self.vregs;
-            // SAFETY: same induction as `exec_phase` — `validate` bounds
-            // every jump target and guarantees a trailing terminator, and
-            // `until` is checked before the fetch.
-            match *unsafe { ops.get_unchecked(pc) } {
-                Op::Const { dst, bits } => {
-                    for_lanes!(mask, l, {
-                        vs(vregs, dst, l, bits);
-                    });
-                }
-                Op::Gid { dst, dim } => {
-                    for_lanes!(mask, l, {
-                        vs(vregs, dst, l, bi32(self.w.gids[l][dim as usize] as i32));
-                    });
-                }
-                Op::Gsz { dst, dim } => {
-                    let bits = bi32(self.w.gsize[dim as usize] as i32);
-                    for_lanes!(mask, l, {
-                        vs(vregs, dst, l, bits);
-                    });
-                }
-                // Flat dispatch: local id 0, local size 1, group = warp id.
-                Op::Lid { dst, .. } => {
-                    for_lanes!(mask, l, {
-                        vs(vregs, dst, l, bi32(0));
-                    });
-                }
-                Op::Lsz { dst, .. } => {
-                    for_lanes!(mask, l, {
-                        vs(vregs, dst, l, bi32(1));
-                    });
-                }
-                Op::Grp { dst, dim } => {
-                    for_lanes!(mask, l, {
-                        let g = if dim == 0 { (self.w.items[l] / WARP as u64) as i32 } else { 0 };
-                        vs(vregs, dst, l, bi32(g));
-                    });
-                }
-                Op::Mov { dst, src } => vmap1(vregs, dst, src, mask, |x| x),
-                Op::Cast { dst, src, from, to } => {
-                    vmap1(vregs, dst, src, mask, |x| cast_bits(from, to, x))
-                }
-                Op::AsI64 { dst, src, from } => {
-                    vmap1(vregs, dst, src, mask, |x| bi64(to_i64(from, x)))
-                }
-                Op::MaxOne { dst } => vmap1(vregs, dst, dst, mask, |x| bi64(i64v(x).max(1))),
-                Op::I64ToI32 { dst, src } => vmap1(vregs, dst, src, mask, |x| bi32(i64v(x) as i32)),
-                Op::AddI64 { dst, a, b } => {
-                    vmap2(vregs, dst, a, b, mask, |x, y| bi64(i64v(x) + i64v(y)))
-                }
-                Op::JgeI64 { a, b, target } => {
-                    let mut jmask = 0u32;
-                    for_lanes!(mask, l, {
-                        if i64v(vg(vregs, a, l)) >= i64v(vg(vregs, b, l)) {
-                            jmask |= 1 << l;
-                        }
-                    });
-                    match self.branch::<PROF>(pc, target as usize, jmask, mask, until, depth) {
-                        Branch::Goto(p, m) => {
-                            pc = p;
-                            mask = m;
-                            continue;
-                        }
-                        Branch::Reached(m) => return m,
-                    }
-                }
-                Op::Neg { dst, src, k } => match k {
-                    K::F32 => vmap1(vregs, dst, src, mask, |x| b32(-f32v(x))),
-                    K::F64 => vmap1(vregs, dst, src, mask, |x| b64(-f64v(x))),
-                    K::I32 => vmap1(vregs, dst, src, mask, |x| bi32(-i32v(x))),
-                    K::Bool => vmap1(vregs, dst, src, mask, |x| bi32(-((x != 0) as i32))),
-                },
-                Op::Not { dst, src, k } => vmap1(vregs, dst, src, mask, |x| bb(!truthy(k, x))),
-                // The hot acoustics arithmetic gets dedicated lane loops
-                // (simple enough for LLVM to autovectorize); everything else
-                // goes through the shared scalar helper with (op, k)
-                // loop-invariant.
-                Op::Bin { dst, a, b, op, k } => match (k, op) {
-                    (K::F32, BinOp::Add) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) + f32v(y)))
-                    }
-                    (K::F32, BinOp::Sub) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) - f32v(y)))
-                    }
-                    (K::F32, BinOp::Mul) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b32(f32v(x) * f32v(y)))
-                    }
-                    (K::F64, BinOp::Add) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) + f64v(y)))
-                    }
-                    (K::F64, BinOp::Sub) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) - f64v(y)))
-                    }
-                    (K::F64, BinOp::Mul) => {
-                        vmap2(vregs, dst, a, b, mask, |x, y| b64(f64v(x) * f64v(y)))
-                    }
-                    _ => vmap2(vregs, dst, a, b, mask, |x, y| bin_bits(op, k, x, y)),
-                },
-                Op::Logic { dst, a, b, ka, kb, or } => vmap2(vregs, dst, a, b, mask, |x, y| {
-                    let (p, q) = (truthy(ka, x), truthy(kb, y));
-                    bb(if or { p || q } else { p && q })
-                }),
-                Op::MinMax { dst, a, b, k, max } => match k {
-                    K::F32 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                        let (p, q) = (f32v(x) as f64, f32v(y) as f64);
-                        b32((if max { p.max(q) } else { p.min(q) }) as f32)
-                    }),
-                    K::F64 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                        let (p, q) = (f64v(x), f64v(y));
-                        b64(if max { p.max(q) } else { p.min(q) })
-                    }),
-                    K::I32 => vmap2(vregs, dst, a, b, mask, |x, y| {
-                        let (p, q) = (i32v(x) as i64, i32v(y) as i64);
-                        bi32((if max { p.max(q) } else { p.min(q) }) as i32)
-                    }),
-                    K::Bool => unreachable!("min/max never promotes to bool"),
-                },
-                Op::Intr1 { dst, src, intr, k } => match k {
-                    K::F32 => vmap1(vregs, dst, src, mask, |x| b32(intr1_f32(intr, f32v(x)))),
-                    _ => vmap1(vregs, dst, src, mask, |x| b64(intr1_f64(intr, f64v(x)))),
-                },
-                Op::Sel { dst, cond, ck, t, f } => {
-                    if mask == FULL_MASK {
-                        for l in 0..WARP {
-                            let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
-                            vs(vregs, dst, l, vg(vregs, pick, l));
-                        }
-                    } else if let Some((lo, hi)) = contiguous(mask) {
-                        for l in lo..hi {
-                            let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
-                            vs(vregs, dst, l, vg(vregs, pick, l));
-                        }
-                    } else {
-                        for_lanes!(mask, l, {
-                            let pick = if truthy(ck, vg(vregs, cond, l)) { t } else { f };
-                            vs(vregs, dst, l, vg(vregs, pick, l));
-                        });
-                    }
-                }
-                Op::LdG { dst, buf, idx, site, constant } => {
-                    let b = self.w.bufs[buf as usize].expect("buffer bound");
-                    let n = mask.count_ones() as u64;
-                    let eb = b.elem_bytes() as u64;
-                    if constant {
-                        self.w.counters.loads_constant += n;
-                    } else {
-                        self.w.counters.loads_global += n;
-                        self.w.counters.bytes_loaded += eb * n;
-                    }
-                    let push_trace = self.w.trace_on && !constant;
-                    if let Some(sh) = b.shadow() {
-                        for_lanes!(mask, l, {
-                            let i = i64v(vg(vregs, idx, l));
-                            if let Some(kind) = sh.classify_load(i as usize) {
-                                crate::sanitize::report_load_fault(
-                                    kind,
-                                    self.w.san.as_ref(),
-                                    buf as usize,
-                                    site,
-                                    i as u64,
-                                    "vector",
-                                );
-                            }
-                        });
-                    }
-                    // SAFETY (both loops): launch contract — no concurrent
-                    // writer of this element (same contract as the scalar
-                    // interpreters).
-                    if let (false, Some((lo, hi))) = (push_trace, contiguous(mask)) {
-                        for l in lo..hi {
-                            let i = i64v(vg(vregs, idx, l));
-                            debug_assert!(
-                                i >= 0 && (i as usize) < b.len(),
-                                "load out of bounds: param {buf}[{i}] (len {})",
-                                b.len()
-                            );
-                            vs(vregs, dst, l, unsafe { b.get_bits(i as usize) });
-                        }
-                    } else {
-                        for_lanes!(mask, l, {
-                            let i = i64v(vg(vregs, idx, l));
-                            if push_trace {
-                                self.w.traces[l].push((
-                                    site,
-                                    0,
-                                    ((buf as u64) << 40) | ((i as u64) * eb),
-                                ));
-                            }
-                            debug_assert!(
-                                i >= 0 && (i as usize) < b.len(),
-                                "load out of bounds: param {buf}[{i}] (len {})",
-                                b.len()
-                            );
-                            vs(vregs, dst, l, unsafe { b.get_bits(i as usize) });
-                        });
-                    }
-                }
-                Op::StG { buf, idx, val, vk, site } => {
-                    let b = self.w.bufs[buf as usize].expect("buffer bound");
-                    let eb = b.elem_bytes() as u64;
-                    let n = mask.count_ones() as u64;
-                    self.w.counters.stores_global += n;
-                    self.w.counters.bytes_stored += eb * n;
-                    if let Some(sh) = b.shadow() {
-                        for_lanes!(mask, l, {
-                            sh.note_store(i64v(vg(vregs, idx, l)) as usize);
-                        });
-                    }
-                    // SAFETY (both loops): launch contract — element
-                    // disjointness across work-items (verified by
-                    // race-check mode).
-                    if let (false, false, Some((lo, hi))) =
-                        (self.w.trace_on, self.w.race_on, contiguous(mask))
-                    {
-                        for l in lo..hi {
-                            let i = i64v(vg(vregs, idx, l));
-                            debug_assert!(
-                                i >= 0 && (i as usize) < b.len(),
-                                "store out of bounds: param {buf}[{i}] (len {})",
-                                b.len()
-                            );
-                            unsafe { b.set(i as usize, bits_value(vk, vg(vregs, val, l))) };
-                        }
-                    } else {
-                        for_lanes!(mask, l, {
-                            let i = i64v(vg(vregs, idx, l));
-                            if self.w.trace_on {
-                                self.w.traces[l].push((
-                                    site,
-                                    0,
-                                    ((buf as u64) << 40) | ((i as u64) * eb),
-                                ));
-                            }
-                            if self.w.race_on {
-                                self.w.writes.push((buf as u32, i as u64, self.w.items[l], site));
-                            }
-                            debug_assert!(
-                                i >= 0 && (i as usize) < b.len(),
-                                "store out of bounds: param {buf}[{i}] (len {})",
-                                b.len()
-                            );
-                            unsafe { b.set(i as usize, bits_value(vk, vg(vregs, val, l))) };
-                        });
-                    }
-                }
-                Op::LdP { dst, arr, idx } => {
-                    for_lanes!(mask, l, {
-                        let i = i64v(vg(vregs, idx, l)) as usize;
-                        vs(vregs, dst, l, self.lane_privs[l][arr as usize][i]);
-                    });
-                }
-                Op::StP { arr, idx, val, vk, k } => {
-                    for_lanes!(mask, l, {
-                        let i = i64v(vg(vregs, idx, l)) as usize;
-                        self.lane_privs[l][arr as usize][i] = cast_bits(vk, k, vg(vregs, val, l));
-                    });
-                }
-                Op::LdL { .. } | Op::StL { .. } | Op::DeclLocal { .. } => {
-                    unreachable!(
-                        "local-memory op in flat vector dispatch (grouped launches fall back)"
-                    )
-                }
-                Op::DeclPriv { arr, len } => {
-                    for_lanes!(mask, l, {
-                        let n = i64v(vg(vregs, len, l)) as usize;
-                        let p = &mut self.lane_privs[l][arr as usize];
-                        p.clear();
-                        p.resize(n, 0);
-                    });
-                }
-                Op::Flops { n } => {
-                    self.w.counters.flops += n as u64 * mask.count_ones() as u64;
-                }
-                Op::Jmp { target } => {
-                    pc = target as usize;
-                    continue;
-                }
-                Op::Jz { cond, k, target } => {
-                    let mut jmask = 0u32;
-                    for_lanes!(mask, l, {
-                        if !truthy(k, vg(vregs, cond, l)) {
-                            jmask |= 1 << l;
-                        }
-                    });
-                    match self.branch::<PROF>(pc, target as usize, jmask, mask, until, depth) {
-                        Branch::Goto(p, m) => {
-                            pc = p;
-                            mask = m;
-                            continue;
-                        }
-                        Branch::Reached(m) => return m,
-                    }
-                }
-                Op::Ret | Op::Halt => return 0,
-            }
-            pc += 1;
-        }
-    }
-
-    /// Resolves the conditional branch at `pc`: `jmask` (⊆ `mask`) holds the
-    /// lanes that take the jump to `target`. Uniform masks are a single
-    /// jump. Divergent masks execute both sides under complementary masks
-    /// and reconverge at the branch's join (its immediate postdominator);
-    /// when no join is usable the lanes finish on the bounded scalar
-    /// interpreter instead, parked at the enclosing region's `until`.
-    fn branch<const PROF: bool>(
-        &mut self,
-        pc: usize,
-        target: usize,
-        jmask: u32,
-        mask: u32,
-        until: usize,
-        depth: u32,
-    ) -> Branch {
-        if jmask == 0 {
-            return Branch::Goto(pc + 1, mask);
-        }
-        if jmask == mask {
-            return Branch::Goto(target, mask);
-        }
-        self.diverged = true;
-        let join = self.c.joins[pc];
-        if join != NO_JOIN && depth < MAX_DIVERGE_DEPTH {
-            let j = join as usize;
-            let fell = self.run::<PROF>(pc + 1, j, mask & !jmask, depth + 1);
-            let jumped = self.run::<PROF>(target, j, jmask, depth + 1);
-            let m = fell | jumped;
-            // The join may lie past `until` when one arm returns early (the
-            // sides then ran to `Ret` inside the recursion): no lane is left
-            // to park.
-            if m == 0 {
-                return Branch::Reached(0);
-            }
-            return Branch::Goto(j, m);
-        }
-        if PROF {
-            // The scalar bailout attributes per op itself; close the branch
-            // op's span first so its time is not double-counted.
-            self.flush_pending();
-        }
-        Branch::Reached(self.scalar_lanes(pc, until, mask))
-    }
-
-    /// Performance valve for branches without a usable join: finishes each
-    /// lane of `mask` on the bounded scalar interpreter, resumed *at* the
-    /// divergent branch (whose condition re-reads lane registers — a pure
-    /// operation, so nothing is skipped or doubled) and stopped at `until`.
-    /// Returns the lanes that reached `until`; their register columns are
-    /// copied back so vectorized execution resumes seamlessly.
-    fn scalar_lanes(&mut self, pc: usize, until: usize, mask: u32) -> u32 {
-        let WarpExec { c, vregs, lane_privs, w, scratch, .. } = self;
-        let nregs = c.nregs;
-        if scratch.len() < nregs {
-            scratch.resize(nregs, 0);
-        }
-        let mut reached = 0u32;
-        for_lanes!(mask, l, {
-            for r in 0..nregs {
-                scratch[r] = vregs[r * WARP + l];
-            }
-            let no_locals: &mut [Vec<u64>] = &mut [];
-            let mut t = TapeCtx {
-                bufs: w.bufs,
-                gsize: w.gsize,
-                counters: &mut *w.counters,
-                trace: &mut w.traces[l],
-                trace_on: w.trace_on,
-                writes: &mut *w.writes,
-                race_on: w.race_on,
-                item: w.items[l],
-                gid: w.gids[l],
-                lid: 0,
-                group: (w.items[l] / WARP as u64) as usize,
-                lsize: 1,
-                prof: w.prof.as_deref_mut(),
-                san: w.san,
-            };
-            let lane_run = if t.prof.is_some() {
-                exec_scalar::<true, true>(
-                    c,
-                    pc,
-                    until,
-                    scratch,
-                    &mut lane_privs[l],
-                    no_locals,
-                    &mut t,
-                )
-            } else {
-                exec_scalar::<true, false>(
-                    c,
-                    pc,
-                    until,
-                    scratch,
-                    &mut lane_privs[l],
-                    no_locals,
-                    &mut t,
-                )
-            };
-            if lane_run == ScalarRun::Until {
-                reached |= 1 << l;
-                for r in 0..nregs {
-                    vregs[r * WARP + l] = scratch[r];
-                }
-            }
-        });
-        reached
     }
 }
 
@@ -3964,7 +3334,7 @@ mod tests {
     use super::*;
     use crate::buffer::BufData;
     use crate::buffer::SharedBuf;
-    use crate::exec::{launch_wg_engine, prepare, ArgBind, Engine, ExecMode};
+    use crate::exec::{launch_wg_engine, prepare, ArgBind, Backend, Engine, ExecMode};
     use lift::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 
     /// out[gid] = x[gid] * scale + bias-ish expression, with `expr` as the
@@ -4160,11 +3530,12 @@ mod tests {
             &[64],
             None,
             ExecMode::Fast,
-            true,
+            false,
             128,
-            Engine::Vector,
+            Engine::Compiled,
         )
         .unwrap();
+        assert_eq!(stats.backend, Backend::Compiled);
         assert_eq!(stats.divergent_warps, 0, "selects execute fully converged");
     }
 

@@ -10,26 +10,25 @@
 //! 2. **Use counting** — a register is a fusable *intermediate* only when it
 //!    has exactly one reader in the whole tape (main ops + both preludes).
 //!    Skipping its write is then unobservable: nothing reads it later, not
-//!    even after a divergence hand-off to the vector interpreter or across
-//!    loop iterations.
+//!    even a later loop iteration.
 //! 3. **Peephole fusion** — longest-match-first within each block body:
 //!    fused global loads (`Bin`·`AsI64`·`LdG`[·`Bin` accumulate]), fused
 //!    stores (`AsI64`·`StG`), multiply-add (`Bin`·`Bin`), compare-select
 //!    (`Bin`·`Sel`), and compare-branch block terminators (`Bin`·`Jz`).
 //!
 //! Lowering is best-effort and total: unmatched ops pass through as
-//! [`FOp::Base`]. It *fails* (and the launch path falls back to the vector
-//! engine, counting `vgpu.compiled.fallbacks`) only on structural grounds:
+//! [`FOp::Base`]. It *fails* (and the launch path falls back to the scalar
+//! tape, counting `vgpu.compiled.fallbacks`) only on structural grounds:
 //! local-memory tapes (grouped-only; the flat compiled engine never runs
 //! them) and malformed control flow the validator should have rejected.
 //!
 //! Bit-identity contract: a fused op performs the exact same arithmetic in
 //! the exact same operand order as the sequence it replaced — multiply-add
 //! stays two roundings (never an FMA), i32 index math wraps like
-//! `bin_bits`, compare-select picks the same register. The 4-leg
-//! differential suite (tree → tape → vector → compiled) enforces this.
+//! `bin_bits`, compare-select picks the same register. The 3-leg
+//! differential suite (tree → tape → compiled) enforces this.
 
-use crate::bytecode::{visit_srcs, Acc, Compiled, FBlock, FOp, FTerm, Fused, Op, K, R};
+use crate::bytecode::{visit_srcs, Acc, Compiled, FBlock, FOp, FTerm, Fused, Op, K, NO_JOIN, R};
 use lift::prelude::BinOp;
 
 /// True for the comparison operators (result kind `Bool`).
@@ -86,6 +85,19 @@ pub(crate) fn lower(c: &Compiled) -> Result<Fused, String> {
             _ => Err(format!("jump to non-leader pc {pc}")),
         }
     };
+    // The reconvergence block of the conditional branch at `pc`: its join
+    // pc is a leader (an immediate postdominator with one fall-through
+    // predecessor would be postdominated by that predecessor first) or the
+    // virtual exit, which maps to the exit block `starts.len()`. A branch
+    // with no join (a path that never reaches the exit) gets the exit too:
+    // each side then runs to `Halt` under its own mask, which is correct
+    // for any shape.
+    let join_at = |pc: usize| -> Result<u32, String> {
+        match c.joins[pc] {
+            j if j as usize == n || j == NO_JOIN => Ok(starts.len() as u32),
+            j => blk_at(j as usize),
+        }
+    };
 
     // -- use counting --
     let mut uses = vec![0u32; c.nregs];
@@ -113,7 +125,7 @@ pub(crate) fn lower(c: &Compiled) -> Result<Fused, String> {
                         k,
                         on_zero: blk_at(target as usize)?,
                         on_nonzero: blk_at(hi)?,
-                        orig_pc: (hi - 1) as u32,
+                        join: join_at(hi - 1)?,
                     },
                     hi - 1,
                 )
@@ -128,7 +140,7 @@ pub(crate) fn lower(c: &Compiled) -> Result<Fused, String> {
                         b,
                         on_ge: blk_at(target as usize)?,
                         on_lt: blk_at(hi)?,
-                        orig_pc: (hi - 1) as u32,
+                        join: join_at(hi - 1)?,
                     },
                     hi - 1,
                 )
@@ -142,14 +154,14 @@ pub(crate) fn lower(c: &Compiled) -> Result<Fused, String> {
             }
         };
         // Compare-branch terminator: absorb a single-use `Bin cmp` feeding
-        // the `Jz`. Delegation re-runs from the compare (a pure op).
-        let term = if let FTerm::Jz { cond, k: K::Bool, on_zero, on_nonzero, .. } = term {
+        // the `Jz`.
+        let term = if let FTerm::Jz { cond, k: K::Bool, on_zero, on_nonzero, join, .. } = term {
             if body_end > lo {
                 if let Op::Bin { dst, a, b, op, k } = c.ops[body_end - 1] {
                     if dst == cond && is_cmp(op) && single(dst) {
                         body_end -= 1;
                         fused_ops += 1;
-                        FTerm::CmpJz { a, b, op, k, on_zero, on_nonzero, orig_pc: body_end as u32 }
+                        FTerm::CmpJz { a, b, op, k, on_zero, on_nonzero, join }
                     } else {
                         term
                     }

@@ -19,6 +19,14 @@
 //! * **Race detection** — optionally records write sets per work-item and
 //!   fails if two work-items wrote the same element, validating the safety
 //!   contract of the in-place primitives.
+//!
+//! Three executors sit behind [`Engine`]: the tree-walker (the reference
+//! oracle), the scalar bytecode tape, and the compiled superinstruction
+//! engine. Fast-mode flat launches run compiled, whose warps reconverge
+//! divergent branches in place and records writes when the race check is
+//! on. Modeled (traced) flat launches need per-item access traces, so they
+//! run the scalar tape, as do grouped launches and tapes that fail
+//! superinstruction lowering.
 
 use crate::buffer::{BufData, SharedBuf};
 use crate::bytecode::{self, Compiled, TapeCtx};
@@ -587,31 +595,24 @@ pub enum ExecMode {
 /// Which interpreter backend executes a launch.
 ///
 /// The default is chosen by the `VGPU_ENGINE` environment variable:
-/// `tree` selects the tree-walker, `tape` the scalar bytecode tape,
-/// `vector` the warp-vectorized tape, `diff` (or `differential`) runs the
-/// oracle plus the fast engines and asserts bit-identical buffers and
-/// identical stats, anything else (unset included) selects the compiled
-/// engine.
+/// `compiled` (or unset) selects the compiled engine, `tape` the scalar
+/// bytecode tape, `tree` the tree-walker, and `diff` (or `differential`)
+/// runs the oracle plus the fast engines and asserts bit-identical buffers
+/// and identical stats. Any other value selects the compiled engine after
+/// a one-time warning on stderr.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Warp-vectorized bytecode tape: each op is decoded once per warp and
-    /// applied to all 32 lanes through a structure-of-arrays register file.
-    /// Warps whose lanes disagree at a branch execute both sides under
-    /// complementary lane masks and reconverge at the branch's join
-    /// (counted by `vgpu.warp.divergent`); grouped (barrier) launches run
-    /// the scalar tape, and kernels the tape compiler rejects fall back to
-    /// the tree-walker — both transparently.
-    Vector,
     /// Superinstruction engine: the validated tape is re-lowered into basic
-    /// blocks of fused ops (`compile::lower`) executed through dense
-    /// fixed-width lane-chunk kernels, with per-access bounds checks elided
-    /// at sites the static verifier proves safe for the concrete launch
-    /// shape (POTENTIAL sites keep a release-mode check). Tapes that fail
-    /// structural lowering fall back to the vector engine
-    /// (`vgpu.compiled.fallbacks`); grouped launches and traced/race-checked
-    /// modes run the vector path as on [`Engine::Vector`]. Divergent warps
-    /// are delegated wholesale to the vector interpreter at the branch pc.
-    /// The default.
+    /// blocks of fused ops (`compile::lower`) executed warp-wide through
+    /// dense fixed-width lane loops over a structure-of-arrays register
+    /// file, with per-access bounds checks elided at sites the static
+    /// verifier proves safe for the concrete launch shape (POTENTIAL sites
+    /// keep a release-mode check). Warps whose lanes disagree at a branch
+    /// run each side under its lane mask and reconverge at the branch's
+    /// join (counted by `vgpu.warp.divergent`). Modeled (traced) flat
+    /// launches run the scalar tape (reported as [`Backend::Tape`]);
+    /// grouped launches and tapes that fail structural lowering do too,
+    /// audited as `vgpu.compiled.fallbacks`. The default.
     #[default]
     Compiled,
     /// Flat bytecode tape, one lane at a time (kernels the compiler rejects
@@ -620,8 +621,8 @@ pub enum Engine {
     /// Reference tree-walking interpreter.
     Tree,
     /// Run the tree-walker, snapshot its outputs, restore inputs, run the
-    /// scalar tape, the vector engine, and — when the tape lowered — the
-    /// compiled engine, and fail unless buffers are bit-identical and
+    /// scalar tape and — on Fast-mode flat launches whose tape lowered —
+    /// the compiled engine, and fail unless buffers are bit-identical and
     /// counters and transaction bytes are equal.
     Differential,
 }
@@ -629,12 +630,29 @@ pub enum Engine {
 impl Engine {
     /// Reads the `VGPU_ENGINE` environment variable (see type docs).
     pub fn from_env() -> Engine {
-        match std::env::var("VGPU_ENGINE").as_deref() {
-            Ok("tree") => Engine::Tree,
-            Ok("tape") => Engine::Tape,
-            Ok("vector") => Engine::Vector,
-            Ok("diff") | Ok("differential") => Engine::Differential,
-            _ => Engine::Compiled,
+        Engine::parse(std::env::var("VGPU_ENGINE").ok().as_deref())
+    }
+
+    /// Maps a `VGPU_ENGINE` value to its engine (unset or empty selects the
+    /// compiled engine). An unknown value (say, a retired engine name left
+    /// in a script) selects the compiled engine too and warns once per
+    /// process on stderr, naming the accepted values.
+    fn parse(value: Option<&str>) -> Engine {
+        match value {
+            None | Some("") | Some("compiled") => Engine::Compiled,
+            Some("tape") => Engine::Tape,
+            Some("tree") => Engine::Tree,
+            Some("diff") | Some("differential") => Engine::Differential,
+            Some(other) => {
+                static WARNED: std::sync::Once = std::sync::Once::new();
+                WARNED.call_once(|| {
+                    eprintln!(
+                        "warning: unknown VGPU_ENGINE={other:?}; running the compiled engine \
+                         (accepted: compiled, tape, tree, diff)"
+                    )
+                });
+                Engine::Compiled
+            }
         }
     }
 }
@@ -647,8 +665,6 @@ pub enum Backend {
     /// The fused-superinstruction engine (basic blocks of fused ops over
     /// the SoA register file, proof-licensed bounds elision).
     Compiled,
-    /// The warp-vectorized tape VM (SoA register file, one decode per warp).
-    Vector,
     /// The flat bytecode tape VM.
     Tape,
     /// The reference tree-walking interpreter.
@@ -656,12 +672,11 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Display label (`"compiled"` / `"vector"` / `"tape"` / `"tree"`), as
+    /// Display label (`"compiled"` / `"tape"` / `"tree"`), as
     /// used in telemetry events.
     pub fn label(self) -> &'static str {
         match self {
             Backend::Compiled => "compiled",
-            Backend::Vector => "vector",
             Backend::Tape => "tape",
             Backend::Tree => "tree",
         }
@@ -684,8 +699,7 @@ pub struct LaunchStats {
     pub backend: Backend,
     /// Warps whose active lanes disagreed at one or more branches and ran
     /// them under divergence masks (reconverging at each branch's join).
-    /// Always 0 outside [`Backend::Vector`] and [`Backend::Compiled`]
-    /// (whose divergent warps are delegated to the vector interpreter).
+    /// Always 0 outside [`Backend::Compiled`], the only warp-wide executor.
     pub divergent_warps: u64,
     /// Wall-clock time of the tree-walker *oracle* leg when the launch ran
     /// under [`Engine::Differential`] (`wall` then covers only the tape
@@ -694,7 +708,7 @@ pub struct LaunchStats {
     /// folding it into the reported launch.
     pub oracle_wall: Option<std::time::Duration>,
     /// Per-opcode time attribution merged across the launch's interpreter
-    /// chunks. Populated by the tape/vector backends under `VGPU_PROFILE=op`
+    /// chunks. Populated by the tape/compiled backends under `VGPU_PROFILE=op`
     /// only; never part of differential comparison (timing is not a result).
     pub op_profile: Option<Box<crate::profiler::OpProf>>,
 }
@@ -1197,7 +1211,6 @@ fn note_fallback_record(ev: &'static str, kernel: &str, reason: &str) {
         eprintln!("{{\"ev\":{ev:?},\"kernel\":{kernel:?},\"reason\":{reason:?}}}");
         let (kernel, reason) = (kernel.to_string(), reason.to_string());
         telemetry::record(match ev {
-            "vector_fallback" => telemetry::Event::VectorFallback { kernel, reason, ts_us },
             "compiled_fallback" => telemetry::Event::CompiledFallback { kernel, reason, ts_us },
             "warp_divergence" => telemetry::Event::WarpDivergence { kernel, reason, ts_us },
             _ => telemetry::Event::TapeFallback { kernel, reason, ts_us },
@@ -1213,15 +1226,7 @@ fn note_tape_fallback(kernel: &str, reason: &str) {
     note_fallback_record("tape_fallback", kernel, reason);
 }
 
-/// Audits one vector→tape fallback (the whole launch, e.g. a grouped
-/// NDRange the vector engine does not cover): bumps
-/// `vgpu.vector.fallbacks` once per launch, deduped record as above.
-fn note_vector_fallback(kernel: &str, reason: &str) {
-    telemetry::registry().counter("vgpu.vector.fallbacks").inc();
-    note_fallback_record("vector_fallback", kernel, reason);
-}
-
-/// Audits warp divergence inside a vector (or compiled) launch:
+/// Audits warp divergence inside a compiled launch:
 /// `vgpu.warp.divergent` counts every divergent warp, while the
 /// stderr/trace record is deduped per kernel. Called exactly once per
 /// launch from [`run_launch`], off the backend's reported
@@ -1238,8 +1243,8 @@ fn note_warp_divergence(kernel: &str, warps: u64) {
 }
 
 /// Audits one compiled-engine fallback (a tape that failed structural
-/// lowering reroutes to the vector engine; a grouped NDRange outside the
-/// flat fused executor's coverage reroutes to the scalar tape): bumps
+/// lowering, or a grouped NDRange outside the flat fused executor's
+/// coverage, reroutes to the scalar tape): bumps
 /// `vgpu.compiled.fallbacks` once per launch, deduped record as above.
 fn note_compiled_fallback(kernel: &str, reason: &str) {
     telemetry::registry().counter("vgpu.compiled.fallbacks").inc();
@@ -1387,10 +1392,6 @@ pub struct LaunchPlan {
     /// Why the tape cannot run launches with this signature (`None` when it
     /// can). Cached so per-step launches skip re-walking the params.
     tape_fallback: Option<String>,
-    /// Why the *vector* engine cannot run launches with this signature
-    /// (`None` when it can). Only meaningful when `tape_fallback` is `None`
-    /// — a tape-less kernel already reroutes to the tree-walker.
-    vector_fallback: Option<String>,
 }
 
 /// Validates the binding shape against the kernel's parameter list and
@@ -1425,18 +1426,7 @@ pub fn plan_launch(prep: &Prepared, bindings: &[ArgBind<'_>]) -> Result<LaunchPl
         }
     }
     let tape_fallback = tape_fallback_reason(prep, &bufs);
-    let vector_fallback = if tape_fallback.is_some() {
-        None
-    } else if prep.uses_groups {
-        Some(
-            "kernel uses workgroup features (barriers/local memory); \
-             the vector engine covers flat NDRanges only"
-                .to_string(),
-        )
-    } else {
-        None
-    };
-    Ok(LaunchPlan { scalar_args, tape_fallback, vector_fallback })
+    Ok(LaunchPlan { scalar_args, tape_fallback })
 }
 
 /// [`launch_wg`] with an explicit backend selection.
@@ -1543,26 +1533,16 @@ pub fn launch_planned(
                 Backend::Tape
             }
         }
-        Engine::Vector => {
-            if let Some(reason) = &plan.tape_fallback {
-                note_tape_fallback(&prep.name, reason);
-                Backend::Tree
-            } else if let Some(reason) = &plan.vector_fallback {
-                note_vector_fallback(&prep.name, reason);
-                Backend::Tape
-            } else {
-                Backend::Vector
-            }
-        }
         Engine::Compiled => {
             if let Some(reason) = &plan.tape_fallback {
                 note_tape_fallback(&prep.name, reason);
                 Backend::Tree
-            } else if let Some(reason) = &plan.vector_fallback {
-                // Grouped launches: same coverage boundary as the vector
-                // engine, but audited as a compiled fallback so the
-                // `vgpu.compiled.fallbacks` counter reflects it.
-                note_compiled_fallback(&prep.name, reason);
+            } else if prep.uses_groups {
+                note_compiled_fallback(
+                    &prep.name,
+                    "kernel uses workgroup features (barriers/local memory); \
+                     the compiled engine covers flat NDRanges only",
+                );
                 Backend::Tape
             } else if prep.fused.is_none() {
                 let reason = prep
@@ -1570,7 +1550,9 @@ pub fn launch_planned(
                     .clone()
                     .unwrap_or_else(|| "tape failed superinstruction lowering".to_string());
                 note_compiled_fallback(&prep.name, &reason);
-                Backend::Vector
+                Backend::Tape
+            } else if !compiled_covers(mode) {
+                Backend::Tape
             } else {
                 Backend::Compiled
             }
@@ -1601,6 +1583,14 @@ pub fn launch_planned(
         transaction_size,
         backend,
     )
+}
+
+/// True when the compiled engine can run a flat launch in this mode: it
+/// keeps no per-item access traces, so modeled (traced) launches run the
+/// scalar tape, which does. Race checks are covered: the compiled engine
+/// records writes like the tape.
+fn compiled_covers(mode: ExecMode) -> bool {
+    mode == ExecMode::Fast
 }
 
 /// Dispatches a validated launch to one backend.
@@ -1648,8 +1638,8 @@ fn run_launch(
             race_check,
             transaction_size,
         ),
-        (Some(_), Backend::Vector | Backend::Compiled) => {
-            unreachable!("vector/compiled backends are never selected for grouped launches")
+        (Some(_), Backend::Compiled) => {
+            unreachable!("the compiled backend is never selected for grouped launches")
         }
         (None, Backend::Tree) => run_flat_tree(
             prep,
@@ -1673,28 +1663,10 @@ fn run_launch(
             race_check,
             transaction_size,
         ),
-        (None, Backend::Vector) => run_flat_vector(
-            prep,
-            bufs,
-            init_slots,
-            gsize,
-            total,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        ),
-        (None, Backend::Compiled) => run_flat_compiled(
-            prep,
-            bufs,
-            init_slots,
-            gsize,
-            total,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        ),
+        (None, Backend::Compiled) => {
+            debug_assert!(compiled_covers(mode), "routed by `launch_planned`");
+            run_flat_compiled(prep, bufs, init_slots, gsize, total, race_check)
+        }
     };
     result.map(|mut stats| {
         stats.backend = backend;
@@ -1706,9 +1678,8 @@ fn run_launch(
 }
 
 /// Runs the tree-walker, snapshots its output, then for each fast engine
-/// (scalar tape, then — on flat NDRanges — the warp-vectorized tape, then
-/// — when lowering succeeded — the compiled superinstruction engine)
-/// restores the inputs, re-runs the launch, and fails unless the engine
+/// (scalar tape, then — on Fast-mode flat launches whose tape lowered —
+/// the compiled superinstruction engine) restores the inputs, re-runs the launch, and fails unless the engine
 /// produced bit-identical buffers and identical counters and transaction
 /// bytes. Returns the last (fastest) leg's stats, tagged with the oracle's
 /// wall time.
@@ -1809,30 +1780,10 @@ fn run_differential_legs(
     )?;
     tape.oracle_wall = Some(tree.wall);
     diff_check(prep, bufs, &tree_out, &tree, &tape, "tape")?;
-    if lsize.is_some() {
-        // Grouped (barrier) launches are outside the vector engine's
-        // coverage; the scalar tape is the fast leg there.
+    if lsize.is_some() || prep.fused.is_none() || !compiled_covers(mode) {
+        // Outside the compiled engine's coverage the scalar tape is the
+        // fast leg, exactly as `launch_planned` routes the launch.
         return Ok(tape);
-    }
-    restore(&snaps);
-    let mut vector = run_launch(
-        prep,
-        bufs,
-        init_slots,
-        gsize,
-        total,
-        lsize,
-        mode,
-        race_check,
-        transaction_size,
-        Backend::Vector,
-    )?;
-    vector.oracle_wall = Some(tree.wall);
-    diff_check(prep, bufs, &tree_out, &tree, &vector, "vector")?;
-    if prep.fused.is_none() {
-        // Structural lowering rejected the tape; the vector engine is the
-        // fastest leg that exists for this kernel.
-        return Ok(vector);
     }
     restore(&snaps);
     let mut compiled = run_launch(
@@ -1944,11 +1895,11 @@ fn finish(
         global_work_items: total,
         // Overwritten by `run_launch`, which knows which backend ran.
         backend: Backend::Tree,
-        // Set by `run_flat_vector`; 0 everywhere else.
+        // Set by `run_flat_compiled`; 0 everywhere else.
         divergent_warps: 0,
         // Set by `run_differential` when an oracle leg also ran.
         oracle_wall: None,
-        // Set by `run_flat_tape` / `run_flat_vector` when `VGPU_PROFILE=op`.
+        // Set by `run_flat_tape` / `run_flat_compiled` when `VGPU_PROFILE=op`.
         op_profile: None,
     })
 }
@@ -2205,32 +2156,25 @@ fn merge_op_profiles(
     (results, merged)
 }
 
-/// Warp-vectorized execution of a barrier-free NDRange: each tape op is
-/// decoded once per warp and applied to all active lanes through a
-/// structure-of-arrays register file ([`bytecode::exec_phase_warp`]).
-/// Arithmetic, counters, per-lane access traces, and race records reproduce
-/// the scalar runners bit for bit. Warps whose lanes disagree at a branch
-/// stay vectorized: both sides execute under complementary lane masks and
-/// reconverge at the branch's immediate postdominator, the same mask/stack
-/// discipline real SIMT hardware applies (per-lane scalar continuation
-/// remains only as a valve for unstructured control flow).
-#[allow(clippy::too_many_arguments)]
-fn run_flat_vector(
+/// Compiled superinstruction execution of a Fast-mode, barrier-free NDRange
+/// (see [`compiled_covers`]): each warp drives
+/// [`bytecode::exec_fused_warp`] over the pre-lowered basic-block form,
+/// with per-access bounds checks elided at sites the static verifier
+/// proved in bounds for this launch shape (see [`compiled_checked_sites`]).
+fn run_flat_compiled(
     prep: &Prepared,
     bufs: &[Option<&SharedBuf>],
     init_slots: &[(usize, Value)],
     gsize: [usize; 3],
     total: u64,
-    stride: usize,
-    trace_on: bool,
     race_check: bool,
-    transaction_size: u64,
 ) -> Result<LaunchStats, ExecError> {
     let tape = prep.tape.as_ref().expect("tape checked by caller");
+    let fused = prep.fused.as_ref().expect("fused form checked by caller");
+    let checked = compiled_checked_sites(prep, bufs, init_slots, gsize, fused.nsites);
     let init_bits: Vec<(usize, u64)> =
         init_slots.iter().map(|(s, v)| (*s, bytecode::bits_of_value(*v))).collect();
-    let warps_total = total.div_ceil(WARP as u64);
-    let warp_ids: Vec<u64> = (0..warps_total).step_by(stride).collect();
+    let warp_ids: Vec<u64> = (0..total.div_ceil(WARP as u64)).collect();
     let chunk = dispatch_chunk(warp_ids.len());
     let gx = gsize[0] as u64;
     let gy = gsize[1] as u64;
@@ -2249,24 +2193,22 @@ fn run_flat_vector(
 
     let prof_on = crate::profiler::op_enabled();
     let start = std::time::Instant::now();
-    type VecChunk = (Counters, u64, Vec<WriteRec>, u64, Option<Box<crate::profiler::OpProf>>);
-    let results: Vec<VecChunk> = warp_ids
+    type WarpChunk = (Counters, u64, Vec<WriteRec>, Option<Box<crate::profiler::OpProf>>);
+    let results: Vec<WarpChunk> = warp_ids
         .par_chunks(chunk)
         .map(|ws| {
             // One rayon task per chunk of warps; the SoA register file and
-            // the per-lane private arrays and traces are allocated once and
-            // reset per warp.
+            // the per-lane private arrays are allocated once and reset per
+            // warp.
             let mut vregs = vec![0u64; tape.nregs * WARP];
             for &r in &bcast_once {
                 let row = r as usize * WARP;
                 vregs[row..row + WARP].fill(regs0[r as usize]);
             }
             let mut lane_privs: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); prep.npriv]; WARP];
-            let mut lane_traces: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); WARP];
             let mut counters = Counters::default();
-            let mut writes: Vec<WriteRec> = Vec::new();
-            let mut tbytes = 0u64;
             let mut divergent = 0u64;
+            let mut writes: Vec<WriteRec> = Vec::new();
             let mut prof: Option<Box<crate::profiler::OpProf>> =
                 prof_on.then(Box::<crate::profiler::OpProf>::default);
             let mut items: Vec<u64> = Vec::with_capacity(WARP);
@@ -2313,167 +2255,12 @@ fn run_flat_vector(
                 let mut wc = bytecode::WarpCtx {
                     bufs,
                     counters: &mut counters,
-                    traces: &mut lane_traces,
-                    trace_on,
-                    writes: &mut writes,
-                    race_on: race_check,
                     items: &items,
                     gids: &gids,
                     gsize,
                     prof: prof.as_deref_mut(),
                     san: Some(crate::sanitize::SanCtx { kernel: &prep.name, params: &prep.params }),
-                };
-                if bytecode::exec_phase_warp(tape, 0, nact, &mut vregs, &mut lane_privs, &mut wc) {
-                    divergent += 1;
-                }
-                if trace_on {
-                    tbytes += warp_transaction_bytes(&mut lane_traces[..nact], transaction_size);
-                    for tr in lane_traces[..nact].iter_mut() {
-                        tr.clear();
-                    }
-                }
-            }
-            (counters, tbytes, writes, divergent, prof)
-        })
-        .collect();
-    let wall = start.elapsed();
-    let mut divergent = 0u64;
-    let results: Vec<ProfChunkResult> = results
-        .into_iter()
-        .map(|(c, t, w, d, p)| {
-            divergent += d;
-            (c, t, w, p)
-        })
-        .collect();
-    let (results, op_profile) = merge_op_profiles(results);
-    let scale = flat_sample_scale(total, &warp_ids);
-    let mut stats = finish(prep, results, race_check, trace_on, scale, wall, total)?;
-    stats.op_profile = op_profile;
-    stats.divergent_warps = divergent;
-    Ok(stats)
-}
-
-/// Compiled superinstruction execution of a barrier-free NDRange
-/// (`VGPU_ENGINE=compiled`): the warp loop of [`run_flat_vector`] driving
-/// [`bytecode::exec_fused_warp`] over the pre-lowered basic-block form,
-/// with per-access bounds checks elided at sites the static verifier
-/// proved in bounds for this launch shape (see [`compiled_checked_sites`]).
-/// Modeled/traced and race-checked launches need the per-lane access
-/// traces only the vector interpreter produces, so those run
-/// [`run_flat_vector`] wholesale — the engines are bit-identical, and
-/// tracing launches are sampled/infrequent by construction.
-#[allow(clippy::too_many_arguments)]
-fn run_flat_compiled(
-    prep: &Prepared,
-    bufs: &[Option<&SharedBuf>],
-    init_slots: &[(usize, Value)],
-    gsize: [usize; 3],
-    total: u64,
-    stride: usize,
-    trace_on: bool,
-    race_check: bool,
-    transaction_size: u64,
-) -> Result<LaunchStats, ExecError> {
-    if trace_on || race_check {
-        return run_flat_vector(
-            prep,
-            bufs,
-            init_slots,
-            gsize,
-            total,
-            stride,
-            trace_on,
-            race_check,
-            transaction_size,
-        );
-    }
-    let tape = prep.tape.as_ref().expect("tape checked by caller");
-    let fused = prep.fused.as_ref().expect("fused form checked by caller");
-    let checked = compiled_checked_sites(prep, bufs, init_slots, gsize, fused.nsites);
-    let init_bits: Vec<(usize, u64)> =
-        init_slots.iter().map(|(s, v)| (*s, bytecode::bits_of_value(*v))).collect();
-    let warps_total = total.div_ceil(WARP as u64);
-    let warp_ids: Vec<u64> = (0..warps_total).step_by(stride).collect();
-    let chunk = dispatch_chunk(warp_ids.len());
-    let gx = gsize[0] as u64;
-    let gy = gsize[1] as u64;
-
-    let mut regs0 = vec![0u64; tape.nregs];
-    for (slot, b) in &init_bits {
-        regs0[*slot] = *b;
-    }
-    bytecode::exec_pre(tape, &mut regs0, gsize);
-    let (bcast_once, bcast_warp) = bytecode::warp_init_regs(tape, prep.nslots);
-
-    let prof_on = crate::profiler::op_enabled();
-    let start = std::time::Instant::now();
-    type VecChunk = (Counters, u64, Vec<WriteRec>, u64, Option<Box<crate::profiler::OpProf>>);
-    let results: Vec<VecChunk> = warp_ids
-        .par_chunks(chunk)
-        .map(|ws| {
-            let mut vregs = vec![0u64; tape.nregs * WARP];
-            for &r in &bcast_once {
-                let row = r as usize * WARP;
-                vregs[row..row + WARP].fill(regs0[r as usize]);
-            }
-            let mut lane_privs: Vec<Vec<Vec<u64>>> = vec![vec![Vec::new(); prep.npriv]; WARP];
-            let mut lane_traces: Vec<Vec<(u32, u32, u64)>> = vec![Vec::new(); WARP];
-            let mut counters = Counters::default();
-            let mut writes: Vec<WriteRec> = Vec::new();
-            let mut divergent = 0u64;
-            let mut prof: Option<Box<crate::profiler::OpProf>> =
-                prof_on.then(Box::<crate::profiler::OpProf>::default);
-            let mut items: Vec<u64> = Vec::with_capacity(WARP);
-            let mut gids: Vec<[usize; 3]> = Vec::with_capacity(WARP);
-            for &w in ws {
-                let begin = w * WARP as u64;
-                let end = (begin + WARP as u64).min(total);
-                let nact = (end - begin) as usize;
-                items.clear();
-                gids.clear();
-                let mut gid = [
-                    (begin % gx) as usize,
-                    ((begin / gx) % gy) as usize,
-                    (begin / (gx * gy)) as usize,
-                ];
-                for item in begin..end {
-                    items.push(item);
-                    gids.push(gid);
-                    gid[0] += 1;
-                    if gid[0] as u64 == gx {
-                        gid[0] = 0;
-                        gid[1] += 1;
-                        if gid[1] as u64 == gy {
-                            gid[1] = 0;
-                            gid[2] += 1;
-                        }
-                    }
-                }
-                for &r in &bcast_warp {
-                    let row = r as usize * WARP;
-                    vregs[row..row + WARP].fill(regs0[r as usize]);
-                }
-                if prep.npriv > 0 {
-                    for lp in lane_privs[..nact].iter_mut() {
-                        for p in lp.iter_mut() {
-                            p.clear();
-                        }
-                    }
-                }
-                counters.work_items += nact as u64;
-                bytecode::exec_item_pre_warp(tape, &mut vregs, nact, &gids, &items);
-                let mut wc = bytecode::WarpCtx {
-                    bufs,
-                    counters: &mut counters,
-                    traces: &mut lane_traces,
-                    trace_on: false,
-                    writes: &mut writes,
-                    race_on: false,
-                    items: &items,
-                    gids: &gids,
-                    gsize,
-                    prof: prof.as_deref_mut(),
-                    san: Some(crate::sanitize::SanCtx { kernel: &prep.name, params: &prep.params }),
+                    writes: race_check.then_some(&mut writes),
                 };
                 if bytecode::exec_fused_warp(
                     fused,
@@ -2488,21 +2275,20 @@ fn run_flat_compiled(
                     divergent += 1;
                 }
             }
-            (counters, 0u64, writes, divergent, prof)
+            (counters, divergent, writes, prof)
         })
         .collect();
     let wall = start.elapsed();
     let mut divergent = 0u64;
     let results: Vec<ProfChunkResult> = results
         .into_iter()
-        .map(|(c, t, w, d, p)| {
+        .map(|(c, d, w, p)| {
             divergent += d;
-            (c, t, w, p)
+            (c, 0, w, p)
         })
         .collect();
     let (results, op_profile) = merge_op_profiles(results);
-    let scale = flat_sample_scale(total, &warp_ids);
-    let mut stats = finish(prep, results, race_check, trace_on, scale, wall, total)?;
+    let mut stats = finish(prep, results, race_check, false, 1.0, wall, total)?;
     stats.op_profile = op_profile;
     stats.divergent_warps = divergent;
     Ok(stats)
@@ -3004,6 +2790,16 @@ mod tests {
         mode: ExecMode,
         engine: Engine,
     ) -> (LaunchStats, Vec<f64>) {
+        saxpy_launch_checked(n, global, mode, engine, true)
+    }
+
+    fn saxpy_launch_checked(
+        n: usize,
+        global: usize,
+        mode: ExecMode,
+        engine: Engine,
+        race_check: bool,
+    ) -> (LaunchStats, Vec<f64>) {
         let prep = prepare(&saxpy_kernel()).unwrap();
         let x = SharedBuf::new(BufData::from((0..n).map(|i| i as f32).collect::<Vec<_>>()));
         let y = SharedBuf::new(BufData::from(vec![1.0f32; n]));
@@ -3018,7 +2814,7 @@ mod tests {
             &[global],
             None,
             mode,
-            true,
+            race_check,
             128,
             engine,
         )
@@ -3044,7 +2840,7 @@ mod tests {
         // 48 items = a full warp + a half warp. Weighting by warp *count*
         // would scale 48/(2·32) = 0.75× and under-report; weighting by the
         // items the sampled warps covered keeps full sampling exact.
-        for engine in [Engine::Tree, Engine::Tape, Engine::Vector] {
+        for engine in [Engine::Tree, Engine::Tape, Engine::Compiled] {
             let (stats, _) =
                 saxpy_launch_engine(48, 48, ExecMode::Model { sample_stride: 1 }, engine);
             assert_eq!(stats.counters.flops, 2 * 48, "{engine:?}");
@@ -3080,7 +2876,7 @@ mod tests {
             work_dim: 1,
         };
         let prep = prepare(&k).unwrap();
-        for engine in [Engine::Tree, Engine::Tape, Engine::Vector] {
+        for engine in [Engine::Tree, Engine::Tape, Engine::Compiled] {
             let y = SharedBuf::new(BufData::from(vec![0.0f32; 4]));
             let msg = launch_wg_engine(
                 &prep,
@@ -3196,9 +2992,9 @@ mod tests {
             .unwrap()
         };
         let full_tree = run(1, Engine::Tree);
-        // Vector is included even though grouped launches fall back to the
-        // scalar tape: the fallback must preserve counters too.
-        for engine in [Engine::Tree, Engine::Tape, Engine::Vector] {
+        // Compiled is included even though grouped launches fall back to
+        // the scalar tape: the fallback must preserve counters too.
+        for engine in [Engine::Tree, Engine::Tape, Engine::Compiled] {
             let full = run(1, engine);
             let sampled = run(2, engine);
             assert_eq!(full.counters, sampled.counters, "{engine:?}");
@@ -3293,16 +3089,51 @@ mod tests {
     }
 
     #[test]
-    fn vector_matches_tree_on_partial_final_warp() {
+    fn engine_parse_accepts_the_remaining_engines() {
+        assert_eq!(Engine::parse(None), Engine::Compiled);
+        assert_eq!(Engine::parse(Some("")), Engine::Compiled);
+        assert_eq!(Engine::parse(Some("compiled")), Engine::Compiled);
+        assert_eq!(Engine::parse(Some("tape")), Engine::Tape);
+        assert_eq!(Engine::parse(Some("tree")), Engine::Tree);
+        assert_eq!(Engine::parse(Some("diff")), Engine::Differential);
+        assert_eq!(Engine::parse(Some("differential")), Engine::Differential);
+        // The retired warp-vectorized engine's name warns and runs compiled.
+        assert_eq!(Engine::parse(Some("vector")), Engine::Compiled);
+    }
+
+    #[test]
+    fn compiled_matches_tree_on_partial_final_warp() {
         // 100 items = 3 full warps + a 4-lane partial warp: the masked tail
-        // must produce bit-identical values, counters, and transactions.
-        let mode = ExecMode::Model { sample_stride: 1 };
-        let (ts, to) = saxpy_launch_engine(100, 100, mode, Engine::Tree);
-        let (vs, vo) = saxpy_launch_engine(100, 100, mode, Engine::Vector);
-        assert_eq!(vs.backend, Backend::Vector);
-        assert_eq!(to, vo);
-        assert_eq!(ts.counters, vs.counters);
-        assert_eq!(ts.transaction_bytes, vs.transaction_bytes);
+        // must produce bit-identical values and counters.
+        let mode = ExecMode::Fast;
+        let (ts, to) = saxpy_launch_checked(100, 100, mode, Engine::Tree, false);
+        let (cs, co) = saxpy_launch_checked(100, 100, mode, Engine::Compiled, false);
+        assert_eq!(cs.backend, Backend::Compiled);
+        assert_eq!(to, co);
+        assert_eq!(ts.counters, cs.counters);
+    }
+
+    #[test]
+    fn modeled_launches_run_the_tape_and_race_checks_stay_compiled() {
+        // The compiled engine keeps no per-item traces, so modeled launches
+        // under it run the scalar tape and report it; race-checked Fast
+        // launches stay compiled (it records writes). 100 items end in a
+        // 4-lane partial warp; values, counters and transaction bytes must
+        // match the tree oracle.
+        let model = ExecMode::Model { sample_stride: 1 };
+        let fast = ExecMode::Fast;
+        for (mode, race, backend) in [
+            (model, false, Backend::Tape),
+            (model, true, Backend::Tape),
+            (fast, true, Backend::Compiled),
+        ] {
+            let (ts, to) = saxpy_launch_checked(100, 100, mode, Engine::Tree, race);
+            let (cs, co) = saxpy_launch_checked(100, 100, mode, Engine::Compiled, race);
+            assert_eq!(cs.backend, backend, "{mode:?}, race {race}");
+            assert_eq!(to, co, "{mode:?}, race {race}");
+            assert_eq!(ts.counters, cs.counters, "{mode:?}, race {race}");
+            assert_eq!(ts.transaction_bytes, cs.transaction_bytes, "{mode:?}, race {race}");
+        }
     }
 
     #[test]
@@ -3310,8 +3141,8 @@ mod tests {
         // global 96, N = 64: warps 0–1 have the guard false on every lane,
         // warp 2 has it true on every lane. Uniform either way — the branch
         // must not count as divergence.
-        let (stats, out) = saxpy_launch_engine(64, 96, ExecMode::Fast, Engine::Vector);
-        assert_eq!(stats.backend, Backend::Vector);
+        let (stats, out) = saxpy_launch_checked(64, 96, ExecMode::Fast, Engine::Compiled, false);
+        assert_eq!(stats.backend, Backend::Compiled);
         assert_eq!(stats.divergent_warps, 0, "uniform warps must not count");
         assert_eq!(out[63], 2.0 * 63.0 + 1.0);
     }
@@ -3348,7 +3179,7 @@ mod tests {
             work_dim: 1,
         };
         let prep = prepare(&k).unwrap();
-        let run = |engine: Engine| {
+        let run = |engine: Engine, mode: ExecMode, race: bool| {
             let x = SharedBuf::new(BufData::from((0..64).map(|i| i as f32).collect::<Vec<_>>()));
             let y = SharedBuf::new(BufData::from(vec![0.0f32; 64]));
             let stats = launch_wg_engine(
@@ -3356,23 +3187,33 @@ mod tests {
                 &[ArgBind::Buf(&x), ArgBind::Buf(&y)],
                 &[64],
                 None,
-                ExecMode::Model { sample_stride: 1 },
-                true,
+                mode,
+                race,
                 128,
                 engine,
             )
             .unwrap();
             (stats, y.data().to_f64_vec())
         };
-        let (ts, to) = run(Engine::Tree);
-        let (vs, vo) = run(Engine::Vector);
-        assert_eq!(vs.backend, Backend::Vector);
-        assert_eq!(vs.divergent_warps, 2, "both mixed warps must count");
-        assert_eq!(to, vo);
-        assert_eq!(ts.counters, vs.counters);
-        assert_eq!(ts.transaction_bytes, vs.transaction_bytes);
-        assert_eq!(vo[6], 12.0);
-        assert_eq!(vo[7], -7.0);
+        let (ts, to) = run(Engine::Tree, ExecMode::Fast, false);
+        for race in [false, true] {
+            let (cs, co) = run(Engine::Compiled, ExecMode::Fast, race);
+            assert_eq!(cs.backend, Backend::Compiled);
+            assert_eq!(cs.divergent_warps, 2, "both mixed warps must count");
+            assert_eq!(to, co);
+            assert_eq!(ts.counters, cs.counters);
+            assert_eq!(co[6], 12.0);
+            assert_eq!(co[7], -7.0);
+        }
+        // Modeled (and race-checked): the default engine runs the tape, whose
+        // divergent-warp transactions must match the tree oracle's.
+        let model = ExecMode::Model { sample_stride: 1 };
+        let (ts, to) = run(Engine::Tree, model, true);
+        let (ms, mo) = run(Engine::Compiled, model, true);
+        assert_eq!(ms.backend, Backend::Tape);
+        assert_eq!(to, mo);
+        assert_eq!(ts.counters, ms.counters);
+        assert_eq!(ts.transaction_bytes, ms.transaction_bytes);
     }
 
     #[test]
@@ -3416,7 +3257,7 @@ mod tests {
                 &[48],
                 None,
                 ExecMode::Fast,
-                true,
+                false,
                 128,
                 engine,
             )
@@ -3424,16 +3265,16 @@ mod tests {
             (stats, out.data().to_f64_vec())
         };
         let (_, to) = run(Engine::Tree);
-        let (vs, vo) = run(Engine::Vector);
-        assert_eq!(vs.backend, Backend::Vector);
-        assert_eq!(to, vo);
-        assert_eq!(vo[13], 39.0);
+        let (cs, co) = run(Engine::Compiled);
+        assert_eq!(cs.backend, Backend::Compiled);
+        assert_eq!(to, co);
+        assert_eq!(co[13], 39.0);
     }
 
     #[test]
-    fn grouped_launch_under_vector_falls_back_to_scalar_tape() {
-        // The vector engine covers flat NDRanges only; a barrier kernel must
-        // transparently run on the scalar tape with identical results.
+    fn grouped_launch_under_compiled_falls_back_to_scalar_tape() {
+        // The compiled engine covers flat NDRanges only; a barrier kernel
+        // must transparently run on the scalar tape with identical results.
         let prep = prepare(&two_phase_lid_kernel()).unwrap();
         let out = SharedBuf::new(BufData::from(vec![0i32; 64]));
         let stats = launch_wg_engine(
@@ -3444,7 +3285,7 @@ mod tests {
             ExecMode::Fast,
             false,
             128,
-            Engine::Vector,
+            Engine::Compiled,
         )
         .unwrap();
         assert_eq!(stats.backend, Backend::Tape, "grouped launches fall back");
@@ -3455,7 +3296,7 @@ mod tests {
     }
 
     #[test]
-    fn vector_replans_kind_mismatched_buffers_to_tree() {
+    fn compiled_replans_kind_mismatched_buffers_to_tree() {
         // f64 buffers on f32 params: neither tape engine covers the launch,
         // so the plan routes it all the way back to the tree-walker.
         let prep = prepare(&saxpy_kernel()).unwrap();
@@ -3474,7 +3315,7 @@ mod tests {
             ExecMode::Fast,
             true,
             128,
-            Engine::Vector,
+            Engine::Compiled,
         )
         .unwrap();
         assert_eq!(stats.backend, Backend::Tree, "kind mismatch must replan");

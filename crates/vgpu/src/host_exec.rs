@@ -218,7 +218,7 @@ pub fn run_host_program_on(
                     }
                 }
             }
-            HostCmd::Alloc { dev, ty, device } => {
+            HostCmd::Alloc { dev, ty, device, zeroed } => {
                 let d = check_dev(*device)?;
                 let _s = telemetry::span_with(HOST_TRACK, || format!("Alloc({dev})"));
                 let rty = ty.resolve_real(real);
@@ -226,7 +226,11 @@ pub fn run_host_program_on(
                     .scalar_kind()
                     .ok_or_else(|| ExecError(format!("cannot allocate non-uniform type {ty}")))?;
                 let len = eval_len(&rty, &env.sizes)?;
-                let id = devices[d].create_buffer(kind, len);
+                let id = if *zeroed {
+                    devices[d].create_buffer_zeroed(kind, len)
+                } else {
+                    devices[d].create_buffer(kind, len)
+                };
                 slots.insert((d, dev.clone()), id);
             }
             HostCmd::Launch { kernel, args, global_size, device } => {

@@ -11,13 +11,15 @@
 //! * [`exec`] — kernel preparation and the interpreter (counters, traces,
 //!   race detection);
 //! * [`bytecode`] — flat register-based tapes that kernels compile to. The
-//!   default engine executes the tape *warp-vectorized*: each op is decoded
-//!   once per 32-lane warp and applied across a structure-of-arrays register
-//!   file under an active-lane mask, with divergent branches running both
-//!   sides under complementary masks (`VGPU_ENGINE=vector`). The scalar
-//!   tape (`VGPU_ENGINE=tape`) and the tree-walker reference oracle
-//!   (`VGPU_ENGINE=tree`) remain selectable, and `VGPU_ENGINE=diff` runs
-//!   all of them and asserts bit-identical results (see [`exec::Engine`]);
+//!   default engine (`VGPU_ENGINE=compiled`) re-lowers the tape into basic
+//!   blocks of fused superinstructions, each applied once per 32-lane warp
+//!   across a structure-of-arrays register file under an active-lane mask;
+//!   divergent branches run each side under its own mask and reconverge at
+//!   the branch's join. The scalar tape (`VGPU_ENGINE=tape`, also the
+//!   executor of traced and grouped launches) and the
+//!   tree-walker reference oracle (`VGPU_ENGINE=tree`) remain selectable,
+//!   and `VGPU_ENGINE=diff` runs all three and asserts bit-identical
+//!   results (see [`exec::Engine`]);
 //! * [`profile::DeviceProfile`] — the four Table III GPUs;
 //! * [`perfmodel`] — transactions/flops → modeled seconds;
 //! * [`host_exec`] — runs LIFT host programs (`ToGPU`/`OclKernel`/`ToHost`).

@@ -8,14 +8,13 @@
 //! |----------|---------------------|---------------------------------------|
 //! | `off`    | one relaxed load    | nothing (default)                     |
 //! | `kernel` | one map update per launch | wall/modeled time per (kernel, engine, precision) |
-//! | `op`     | two timer reads per tape op | everything above **plus** per-opcode time inside the tape and vector engines |
+//! | `op`     | two timer reads per tape op | everything above **plus** per-opcode time inside the tape and compiled engines |
 //!
 //! Like the trace mode, the profile mode is sampled from the environment
 //! once, lazily, and overridable by tests ([`set_mode`]); when profiling is
 //! off every instrumentation site reduces to one relaxed atomic load — the
-//! interpreter hot loops carry `PROF` as a const generic next to the
-//! structural-validation `BOUNDED` switch, so the unprofiled instantiation
-//! is bit-for-bit the unchecked fast path.
+//! interpreter hot loops carry `PROF` as a const generic, so the
+//! unprofiled instantiation is bit-for-bit the unchecked fast path.
 //!
 //! Attribution is keyed by *(kernel, engine backend, float precision)* —
 //! the same axes [`crate::perfmodel::modeled_time_s`] models — so the
@@ -252,7 +251,7 @@ pub struct OpEntry {
 pub struct KernelProfileSnapshot {
     /// Kernel name.
     pub kernel: String,
-    /// Backend that executed (`compiled` / `vector` / `tape` / `tree`).
+    /// Backend that executed (`compiled` / `tape` / `tree`).
     pub engine: String,
     /// Float precision of the kernel's buffer traffic (`f32` / `f64`).
     pub precision: String,
@@ -587,7 +586,7 @@ mod tests {
         ops.add(1, Duration::from_nanos(500));
         record_launch(
             "fi",
-            "vector",
+            "compiled",
             "f32",
             Duration::from_micros(100),
             Some(2e-6),

@@ -180,7 +180,7 @@ fn repeated_divergence_emits_one_record_but_counts_every_warp() {
     let _ = telemetry::take_events();
 
     let mut dev = Device::gtx780();
-    dev.set_engine(Engine::Vector);
+    dev.set_engine(Engine::Compiled);
     let prep = dev.compile(&div_kernel()).unwrap();
     let x = dev.upload(BufData::from(vec![1.0f32; 64]));
     let out = dev.upload(BufData::from(vec![0.0f32; 64]));

@@ -40,12 +40,9 @@ fn copy_kernel(name: &str) -> Kernel {
 #[test]
 fn uninit_read_is_flagged_with_provenance_on_every_engine() {
     force_on();
-    for (engine, label) in [
-        (Engine::Tree, "tree"),
-        (Engine::Tape, "tape"),
-        (Engine::Vector, "vector"),
-        (Engine::Compiled, "compiled"),
-    ] {
+    for (engine, label) in
+        [(Engine::Tree, "tree"), (Engine::Tape, "tape"), (Engine::Compiled, "compiled")]
+    {
         let name = format!("san_uninit_{label}");
         let mut dev = Device::gtx780();
         dev.set_engine(engine);
@@ -129,7 +126,7 @@ fn stale_halo_schedule(exchange_each_step: bool, kname: &str) -> Vec<vgpu::Findi
         // Pin a single-leg engine: under VGPU_ENGINE=diff the stale seam
         // would (correctly) fail the launch instead of recording findings,
         // and this helper wants to inspect the registry afterwards.
-        d.set_engine(Engine::Vector);
+        d.set_engine(Engine::Compiled);
     }
     // increment kernel: bumps the *owned* planes only (indices are shifted
     // past the bottom halo plane), exactly like a volume update — halo

@@ -51,7 +51,7 @@ fn all_variants() -> Vec<Event> {
             reason: "buffer param `x` declared F32 but bound as F64".into(),
             ts_us: 50.0,
         },
-        Event::VectorFallback {
+        Event::CompiledFallback {
             kernel: "grouped_scan".into(),
             reason: "kernel uses workgroup features (barriers/local memory)".into(),
             ts_us: 55.0,
