@@ -13,12 +13,16 @@
 //!   stores through their own destination views and allocate nothing;
 //! * the `Concat(Skip(idx), …, Skip(rest))` idiom becomes a single store at
 //!   a runtime offset, exactly as in §IV-B of the paper.
+//!
+//! The lowered kernel then passes through [`crate::simplify`], which folds
+//! the pad guards and index arithmetic view collapse writes per access.
 
 use crate::arith::ArithExpr;
 use crate::ir::{ExprKind, ExprRef, Lambda, MapKind, ParamDef, ParamId};
 use crate::kast::{KExpr, KStmt, Kernel, KernelParam, MemRef};
 use crate::memory::{self, MemError, NameGen, OutputPlan};
 use crate::scalar::{BinOp, SExpr, UserFun};
+use crate::simplify;
 use crate::typecheck::{check, TypeError, Typed};
 use crate::types::{ScalarKind, Type};
 use crate::view::{kadd, View, ViewError};
@@ -941,6 +945,7 @@ pub fn lower_kernel(
     let work_dim = if dims == 0 { 1 } else { dims };
     let kernel =
         Kernel { name: name.into(), params: kparams, body: stmts, work_dim }.resolve_real(real);
+    let kernel = simplify::simplify_kernel(&kernel);
     Ok(LoweredKernel { kernel, args, global_size, local_size })
 }
 

@@ -304,7 +304,7 @@ pub fn dedupe_races(races: Vec<RaceReport>) -> Vec<RaceReport> {
 // `%ld:buf[idx]` atoms, cached by buffer and index so repeated loads
 // unify.
 
-fn gid_atom(d: u8) -> String {
+pub(crate) fn gid_atom(d: u8) -> String {
     format!("%gid{d}")
 }
 
@@ -700,7 +700,7 @@ fn refine(cond: &KExpr, truth: bool, st: &mut St, out: &mut Out) {
             let sa = eval(a, st, out, false);
             let sb = eval(b, st, out, false);
             if let (Some(sa), Some(sb)) = (sa, sb) {
-                apply_rel(*op, truth, &sa, &sb, st);
+                apply_rel(*op, truth, &sa, &sb, &mut st.renv);
             }
         }
         _ => {}
@@ -732,7 +732,13 @@ fn interior_trigger(x: &KExpr, st: &mut St, out: &mut Out) -> bool {
 
 /// Turns `a REL b` (under `truth`) into interval updates for every atom
 /// occurring affinely with coefficient ±1 in `a − b`.
-fn apply_rel(op: BinOp, truth: bool, sa: &ArithExpr, sb: &ArithExpr, st: &mut St) {
+pub(crate) fn apply_rel(
+    op: BinOp,
+    truth: bool,
+    sa: &ArithExpr,
+    sb: &ArithExpr,
+    renv: &mut RangeEnv,
+) {
     // Normalize to constraints over d = a − b.
     let d = expand(&(sa.clone() - sb.clone()));
     // `le`: an offset o with d + o ≤ 0; `ge`: an offset o with d − o ≥ 0.
@@ -763,25 +769,25 @@ fn apply_rel(op: BinOp, truth: bool, sa: &ArithExpr, sb: &ArithExpr, st: &mut St
         if rest.free_vars().contains(&v) {
             continue;
         }
-        let mut r = st.renv.var_range(&v);
+        let mut r = renv.var_range(&v);
         // The constraint is c·v + rest + o ≤ 0 and/or c·v + rest − o ≥ 0.
         if let Some(off) = le {
             let bound = ArithExpr::Cst(-off) - rest.clone();
             r = if c == 1 {
-                st.renv.intersect(&r, &SymRange { lo: None, hi: Some(bound) })
+                renv.intersect(&r, &SymRange { lo: None, hi: Some(bound) })
             } else {
-                st.renv.intersect(&r, &SymRange { lo: Some(ArithExpr::Cst(0) - bound), hi: None })
+                renv.intersect(&r, &SymRange { lo: Some(ArithExpr::Cst(0) - bound), hi: None })
             };
         }
         if let Some(off) = ge {
             let bound = ArithExpr::Cst(off) - rest.clone();
             r = if c == 1 {
-                st.renv.intersect(&r, &SymRange { lo: Some(bound), hi: None })
+                renv.intersect(&r, &SymRange { lo: Some(bound), hi: None })
             } else {
-                st.renv.intersect(&r, &SymRange { lo: None, hi: Some(ArithExpr::Cst(0) - bound) })
+                renv.intersect(&r, &SymRange { lo: None, hi: Some(ArithExpr::Cst(0) - bound) })
             };
         }
-        st.renv.set_range(v, r);
+        renv.set_range(v, r);
     }
 }
 

@@ -1294,8 +1294,8 @@ fn proof_cache() -> &'static std::sync::Mutex<HashMap<ProofKey, std::sync::Arc<V
 /// `checked[site]` keeps the dynamic bounds check, `!checked[site]` means
 /// the static verifier proved the access in bounds for every work-item of
 /// *this* shape. Memoized process-wide per [`ProofKey`]; each distinct
-/// shape runs the verifier once and bumps
-/// `vgpu.compiled.sites_{proven,checked}`.
+/// shape bumps `vgpu.compiled.sites_{proven,checked}` once, even when
+/// devices that miss it at the same time each run the verifier.
 fn compiled_checked_sites(
     prep: &Prepared,
     bufs: &[Option<&SharedBuf>],
@@ -1315,13 +1315,21 @@ fn compiled_checked_sites(
     if let Some(hit) = proof_cache().lock().unwrap().get(&key) {
         return hit.clone();
     }
-    let checked = std::sync::Arc::new(build_checked_sites(prep, bufs, init_slots, gsize, nsites));
-    let kept = checked.iter().filter(|&&c| c).count() as u64;
-    let reg = telemetry::registry();
-    reg.counter("vgpu.compiled.sites_proven").add(checked.len() as u64 - kept);
-    reg.counter("vgpu.compiled.sites_checked").add(kept);
-    proof_cache().lock().unwrap().insert(key, checked.clone());
-    checked
+    // Verify outside the lock, then insert only if absent: when several
+    // devices miss one shape at once, the first insert wins and is the only
+    // one counted, so the counters name distinct shapes.
+    let built = std::sync::Arc::new(build_checked_sites(prep, bufs, init_slots, gsize, nsites));
+    let mut cache = proof_cache().lock().expect("proof cache lock poisoned by a panicking launch");
+    match cache.entry(key) {
+        std::collections::hash_map::Entry::Occupied(hit) => hit.get().clone(),
+        std::collections::hash_map::Entry::Vacant(slot) => {
+            let kept = built.iter().filter(|&&c| c).count() as u64;
+            let reg = telemetry::registry();
+            reg.counter("vgpu.compiled.sites_proven").add(built.len() as u64 - kept);
+            reg.counter("vgpu.compiled.sites_checked").add(kept);
+            slot.insert(built).clone()
+        }
+    }
 }
 
 /// The value bound to scalar parameter `i`, recovered from the initial

@@ -465,3 +465,52 @@ fn grouped_fallback_counts_no_warp_divergence() {
         "the fallback itself is audited once per launch"
     );
 }
+
+/// Regression (proof-cache double count): devices that miss the proof
+/// cache for one shape at the same time must count that shape's sites
+/// once. Four threads, released together, launch one freshly compiled
+/// kernel at one shape; `vgpu.compiled.sites_{proven,checked}` together
+/// move by exactly the kernel's site count (one load, one store).
+#[test]
+fn concurrent_proof_cache_misses_count_sites_once() {
+    let _guard = TELEMETRY.lock().unwrap();
+    let k = Kernel {
+        name: "ce_concurrent_miss".into(),
+        params: vec![
+            KernelParam::global_buf("x", ScalarKind::F32),
+            KernelParam::global_buf("out", ScalarKind::F32),
+        ],
+        body: vec![KStmt::Store {
+            mem: MemRef::Param(1),
+            idx: gid(),
+            value: KExpr::load(MemRef::Param(0), gid()) * KExpr::Lit(Lit::f32(2.0)),
+        }],
+        work_dim: 1,
+    };
+    let prep = Device::gtx780().compile(&k).unwrap();
+    let reg = vgpu::telemetry::registry();
+    let sites = || {
+        reg.counter("vgpu.compiled.sites_proven").get()
+            + reg.counter("vgpu.compiled.sites_checked").get()
+    };
+    let before = sites();
+    let threads = 4;
+    let start = std::sync::Barrier::new(threads);
+    std::thread::scope(|s| {
+        for _ in 0..threads {
+            s.spawn(|| {
+                let mut dev = Device::gtx780();
+                dev.set_engine(Engine::Compiled);
+                let x = dev.upload(BufData::from(vec![1.5f32; 64]));
+                let out = dev.upload(BufData::from(vec![0.0f32; 64]));
+                start.wait();
+                let stats = dev
+                    .launch(&prep, &[Arg::Buf(x), Arg::Buf(out)], &[64], ExecMode::Fast)
+                    .unwrap();
+                assert_eq!(stats.backend, Backend::Compiled);
+                assert_eq!(dev.read(out).to_f64_vec(), vec![3.0; 64]);
+            });
+        }
+    });
+    assert_eq!(sites() - before, 2, "one shape, two sites, counted once");
+}
